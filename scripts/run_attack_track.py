@@ -31,6 +31,10 @@ from diffrefine.adversarial import (
 from diffrefine.diffusion import make_schedule
 
 
+def _ratio(a: float, b: float) -> str:
+    return f"{a / b:.3f}" if b else "n/a (pgd scored 0)"
+
+
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--samples", type=int, default=500, help="test rows to attack")
@@ -45,7 +49,8 @@ def main() -> int:
     ds = generate_tabular_dataset(pot, seed=args.seed)
     print("training classifier")
     model = train_tabular_classifier(ds)
-    print(f"clean test accuracy: {classifier_accuracy(model, ds.test):.1f}%")
+    accuracy = classifier_accuracy(model, ds.test.features, ds.test.labels)
+    print(f"clean test accuracy: {100.0 * accuracy:.1f}%")
     print("training feasible-region noise model")
     prior = train_feasible_prior(ds, make_schedule(60, 1e-4, 0.03))
 
@@ -63,8 +68,8 @@ def main() -> int:
     for line in report_table_lines(reports):
         print(line)
     pgd, cyc = reports[0], reports[2]
-    print(f"violation ratio cyclic/pgd: {cyc.mean_phi / pgd.mean_phi:.3f}")
-    print(f"success ratio cyclic/pgd: {cyc.success_rate / pgd.success_rate:.3f}")
+    print(f"violation ratio cyclic/pgd: {_ratio(cyc.mean_phi, pgd.mean_phi)}")
+    print(f"success ratio cyclic/pgd: {_ratio(cyc.success_rate, pgd.success_rate)}")
     print(f"wall time: {time.perf_counter() - t0:.1f}s")
     if args.out:
         out = Path(args.out)

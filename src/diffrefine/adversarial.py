@@ -50,11 +50,6 @@ def load_schema(path=None) -> RelationalConstraintSet:
     return RelationalConstraintSet.from_config(json.loads(ref.read_text(encoding="utf-8")))
 
 
-def schema_text() -> str:
-    ref = importlib.resources.files("diffrefine") / "data" / "tabular_schema.json"
-    return ref.read_text(encoding="utf-8")
-
-
 def sample_feasible(pot: RelationalConstraintSet, n: int, rng: Rng) -> np.ndarray:
     """Draw n records satisfying every constraint by construction.
 
@@ -201,10 +196,15 @@ def _read_split_tsv(path: Path, names) -> TabularSplit:
         if header != list(names) + ["label"]:
             raise DataError(f"unexpected columns in {path}")
         feats, labs = [], []
-        for line in fh:
+        for lineno, line in enumerate(fh, start=2):
             parts = line.rstrip("\n").split("\t")
-            feats.append([float(v) for v in parts[:-1]])
-            labs.append(int(parts[-1]))
+            if len(parts) != len(header):
+                raise DataError(f"{path.name} line {lineno}: row width does not match header")
+            try:
+                feats.append([float(v) for v in parts[:-1]])
+                labs.append(int(parts[-1]))
+            except ValueError as exc:
+                raise DataError(f"{path.name} line {lineno}: non-numeric cell: {exc}") from exc
     return TabularSplit(features=np.array(feats), labels=np.array(labs, dtype=int))
 
 

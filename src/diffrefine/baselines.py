@@ -305,10 +305,6 @@ class ComparisonTable:
             )
         return lines
 
-    def write(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write("\n".join(self.to_lines()) + "\n")
-
 
 def trajectory_comparison(
     pot: ConstraintPotential,

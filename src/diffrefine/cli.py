@@ -149,8 +149,43 @@ def _load_config(path, defaults: dict) -> dict:
     unknown = set(user) - set(defaults)
     if unknown:
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")
+    for key, value in user.items():
+        _check_config_type(key, value, defaults[key])
     cfg.update(user)
     return cfg
+
+
+def _check_config_type(key: str, value, default) -> None:
+    """Raise ConfigError unless ``value`` has the JSON type of ``default``.
+
+    Integers stand for floats, a null default takes null or a number,
+    list entries follow the default's first entry, and an object must
+    carry exactly the default's keys.
+    """
+    is_number = isinstance(value, (int, float)) and not isinstance(value, bool)
+    if isinstance(default, bool):
+        ok = isinstance(value, bool)
+    elif isinstance(default, int):
+        ok = is_number and isinstance(value, int)
+    elif isinstance(default, float):
+        ok = is_number
+    elif default is None:
+        ok = value is None or is_number
+    elif isinstance(default, list):
+        ok = isinstance(value, list)
+        if ok and default:
+            for i, item in enumerate(value):
+                _check_config_type(f"{key}[{i}]", item, default[0])
+    elif isinstance(default, dict):
+        ok = isinstance(value, dict) and set(value) == set(default)
+        if ok:
+            for sub, item in value.items():
+                _check_config_type(f"{key}.{sub}", item, default[sub])
+    else:
+        ok = isinstance(value, type(default))
+    if not ok:
+        want = "null or a number" if default is None else type(default).__name__
+        raise ConfigError(f"config key {key!r} must be {want}, got {json.dumps(value)}")
 
 
 def _pick_seed(cfg_seed, master: int, purpose: str) -> int:

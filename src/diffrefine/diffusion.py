@@ -23,7 +23,7 @@ import numpy as np
 from .errors import ConfigError, DegenerateAlphaError, DimensionMismatchError
 from .model_store import TrainedModel
 from .network import FeedForwardNet, NetSpec
-from .numerics import Rng, as_vector, require_finite
+from .numerics import Rng, require_finite
 from .training import Adam, Normalizer, TrainConfig, backprop_grads
 
 DDIM_MODES = ("standard", "truncated")
@@ -219,6 +219,7 @@ def train_noise_model(
     )
     net = FeedForwardNet.init(spec, rng.fork("init"))
     opt = Adam(net.param_count(), cfg.lr, cfg.beta1, cfg.beta2, cfg.adam_eps)
+    grads = np.empty_like(net.params)
     draw = rng.fork("draws")
     shuffle = rng.fork("shuffle")
     history = []
@@ -232,10 +233,11 @@ def train_noise_model(
         for lo in range(0, n_trn, cfg.batch_size):
             idx = order[lo : lo + cfg.batch_size]
             batch_cond = c_trn[idx] if c_trn is not None else None
-            loss, grads, _ = backprop_grads(
-                net, x_noised[idx], eps[idx], kind="eps", t=ts[idx], cond=batch_cond
+            loss, _, _ = backprop_grads(
+                net, x_noised[idx], eps[idx], kind="eps", t=ts[idx], cond=batch_cond,
+                grads=grads, input_grad=False,
             )
-            net.set_params(opt.step(net.get_params(), grads.flatten()))
+            opt.step(net.params, grads)
             losses.append(loss)
         history.append(float(np.mean(losses)))
 
@@ -266,13 +268,6 @@ def model_schedule(model: TrainedModel) -> NoiseSchedule:
     if "schedule_betas" not in model.extra:
         raise ConfigError("model carries no noise schedule")
     return NoiseSchedule.from_betas(np.asarray(model.extra["schedule_betas"], dtype=float))
-
-
-def predict_noise(model: TrainedModel, z_t, t: int, cond_norm=None) -> np.ndarray:
-    """Noise estimate in normalized sample coordinates."""
-    z_t = as_vector(z_t, "z_t")
-    out = model.net.forward(z_t, t=t, cond=cond_norm)
-    return out
 
 
 def generate(

@@ -121,10 +121,6 @@ class Trajectory:
             )
         return lines
 
-    def write(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write("\n".join(self.to_lines()) + "\n")
-
 
 def descent_direction(pot: ConstraintPotential, x, grad_floor: float = 1e-10):
     """Unit steepest-descent direction, or None below the gradient floor.

@@ -94,7 +94,12 @@ def load_model(path) -> TrainedModel:
         raise DataError(f"cannot read model file {path}: {exc}") from exc
     if "header" not in data:
         raise DataError(f"model file {path} has no header")
-    header = json.loads(bytes(data["header"]).decode("utf-8"))
+    try:
+        header = json.loads(bytes(data["header"]).decode("utf-8"))
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise DataError(f"model file {path} has a malformed header: {exc}") from exc
+    if not isinstance(header, dict):
+        raise DataError(f"model file {path} has a malformed header: not a JSON object")
     if header.get("format_version") != FORMAT_VERSION:
         raise DataError(
             f"model file {path} has format version {header.get('format_version')}, "

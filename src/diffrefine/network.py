@@ -1,7 +1,8 @@
 """Feed-forward nets with mirrored additive skips and explicit backprop.
 
-No autograd framework: the forward pass caches pre-activations and the
-backward pass replays them in reverse.  The architecture is a plain
+No autograd framework: the forward pass caches pre-activations and
+their sigmoids, and the backward pass replays them in reverse, writing
+the parameter gradient into a flat buffer laid out like the parameters.  The architecture is a plain
 multilayer perceptron whose hidden halves can be tied by additive skip
 connections (output of hidden layer i is added to the pre-activation
 of its mirror), which requires a width-symmetric hidden stack.  Step
@@ -12,21 +13,17 @@ feature vector, condition vectors are concatenated the same way.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Sequence
 
 import numpy as np
 
 from .errors import ConfigError, DimensionMismatchError
-from .numerics import Rng, require_finite
+from .numerics import Rng
 
 
 def _sigmoid(z):
-    out = np.empty_like(z)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
+    """Logistic function; exp only ever sees -|z|, so it cannot overflow."""
+    e = np.exp(-np.abs(z))
+    return np.where(z >= 0, 1.0, e) / (1.0 + e)
 
 
 def silu(z):
@@ -34,12 +31,7 @@ def silu(z):
     return z * _sigmoid(z)
 
 
-def silu_prime(z):
-    s = _sigmoid(z)
-    return s * (1.0 + z * (1.0 - s))
-
-
-_ACTIVATIONS = {"silu": (silu, silu_prime)}
+_ACTIVATIONS = ("silu",)
 
 
 class TimeEmbedding:
@@ -143,62 +135,68 @@ class NetSpec:
 
 
 @dataclass
-class Gradients:
-    d_weights: list
-    d_biases: list
-
-    def flatten(self) -> np.ndarray:
-        parts = []
-        for w, b in zip(self.d_weights, self.d_biases):
-            parts.append(w.ravel())
-            parts.append(b.ravel())
-        return np.concatenate(parts)
-
-
-@dataclass
 class ForwardCache:
     inputs: np.ndarray
     activations: list = field(default_factory=list)
     pre_activations: list = field(default_factory=list)
+    sigmoids: list = field(default_factory=list)
+
+
+class _Views(list):
+    """Layer arrays that stay views of the flat buffer: assigning an entry
+    copies the values into the view instead of rebinding it."""
+
+    def __setitem__(self, index, value):
+        self[index][...] = value
+
+
+def _layer_views(spec: NetSpec, flat: np.ndarray):
+    """Per-layer (weights, biases) views into a flat parameter-layout buffer:
+    W0 row-major, b0, W1, b1, ... up to the linear head."""
+    widths = spec.widths()
+    weights = _Views()
+    biases = _Views()
+    pos = 0
+    for fan_in, fan_out in zip(widths, widths[1:]):
+        weights.append(flat[pos : pos + fan_out * fan_in].reshape(fan_out, fan_in))
+        pos += fan_out * fan_in
+        biases.append(flat[pos : pos + fan_out])
+        pos += fan_out
+    return weights, biases
 
 
 class FeedForwardNet:
-    """MLP with optional mirrored additive skips and a linear head."""
+    """MLP with optional mirrored additive skips and a linear head.
 
-    def __init__(self, spec: NetSpec, weights: list, biases: list):
+    Every weight and bias is a view into the one flat buffer ``params``,
+    so an optimizer that updates ``params`` in place updates the layers.
+    """
+
+    def __init__(self, spec: NetSpec, params: np.ndarray):
         self.spec = spec
-        self.weights = weights
-        self.biases = biases
+        self.params = params
+        self.weights, self.biases = _layer_views(spec, params)
         self._embed = TimeEmbedding(spec.time_dim) if spec.time_dim else None
-        self._act, self._act_prime = _ACTIVATIONS[spec.activation]
         self._skip_into = {dst: src for src, dst in spec.skip_pairs()}
 
     @classmethod
     def init(cls, spec: NetSpec, rng: Rng) -> "FeedForwardNet":
         """Scaled-normal initialization; final layer optionally zeroed."""
         widths = spec.widths()
-        weights = []
-        biases = []
+        size = sum(fan_out * (fan_in + 1) for fan_in, fan_out in zip(widths, widths[1:]))
+        net = cls(spec, np.zeros(size))
         last = len(widths) - 2
-        for j in range(len(widths) - 1):
-            fan_in, fan_out = widths[j], widths[j + 1]
-            if spec.final_zero and j == last:
-                w = np.zeros((fan_out, fan_in))
-            else:
-                w = rng.normal((fan_out, fan_in)) * np.sqrt(2.0 / (fan_in + fan_out))
-            weights.append(w)
-            biases.append(np.zeros(fan_out))
-        return cls(spec, weights, biases)
+        for j, w in enumerate(net.weights):
+            if not (spec.final_zero and j == last):
+                fan_out, fan_in = w.shape
+                w[...] = rng.normal((fan_out, fan_in)) * np.sqrt(2.0 / (fan_in + fan_out))
+        return net
 
     def param_count(self) -> int:
-        return sum(w.size + b.size for w, b in zip(self.weights, self.biases))
+        return self.params.size
 
     def get_params(self) -> np.ndarray:
-        parts = []
-        for w, b in zip(self.weights, self.biases):
-            parts.append(w.ravel())
-            parts.append(b.ravel())
-        return np.concatenate(parts)
+        return self.params.copy()
 
     def set_params(self, flat: np.ndarray) -> None:
         flat = np.asarray(flat, dtype=float)
@@ -206,14 +204,7 @@ class FeedForwardNet:
             raise DimensionMismatchError(
                 f"expected {self.param_count()} parameters, got {flat.size}"
             )
-        pos = 0
-        for j in range(len(self.weights)):
-            w = self.weights[j]
-            self.weights[j] = flat[pos : pos + w.size].reshape(w.shape).copy()
-            pos += w.size
-            b = self.biases[j]
-            self.biases[j] = flat[pos : pos + b.size].copy()
-            pos += b.size
+        self.params[...] = flat
 
     def _assemble_input(self, x, t, cond) -> np.ndarray:
         x = np.asarray(x, dtype=float)
@@ -258,56 +249,60 @@ class FeedForwardNet:
         cache = ForwardCache(inputs=inp) if want_cache else None
         a = inp
         acts = [inp]
-        pres = []
         for j in range(1, m + 1):
-            z = a @ self.weights[j - 1].T + self.biases[j - 1][None, :]
+            z = a @ self.weights[j - 1].T
+            z += self.biases[j - 1]
             src = self._skip_into.get(j)
             if src is not None:
-                z = z + acts[src]
-            a = self._act(z)
-            pres.append(z)
+                z += acts[src]
+            s = _sigmoid(z)
+            a = z * s
             acts.append(a)
-        out = a @ self.weights[m].T + self.biases[m][None, :]
+            if want_cache:
+                cache.pre_activations.append(z)
+                cache.sigmoids.append(s)
+        out = a @ self.weights[m].T
+        out += self.biases[m]
         if want_cache:
             cache.activations = acts
-            cache.pre_activations = pres
         return out, cache
 
-    def backward_batch(self, cache: ForwardCache, d_out: np.ndarray):
-        """Backpropagate d_loss/d_output; returns (Gradients, d_input).
+    def backward_batch(self, cache: ForwardCache, d_out: np.ndarray, grads=None, input_grad=True):
+        """Backpropagate d_loss/d_output; returns (gradient, d_input).
 
-        d_input covers the assembled input row (x, step embedding,
-        condition); slice the first x_dim columns for the gradient
-        with respect to x alone.
+        The gradient is flat, in the layout of ``params``; it is written
+        into ``grads`` when given.  d_input covers the assembled input row
+        (x, step embedding, condition); slice the first x_dim columns for
+        the gradient with respect to x alone.  It is None, and not
+        computed, when ``input_grad`` is false.
         """
         m = len(self.spec.hidden)
         acts = cache.activations
-        pres = cache.pre_activations
-        d_w = [None] * (m + 1)
-        d_b = [None] * (m + 1)
-        d_a = [np.zeros_like(a) for a in acts]
-
-        d_w[m] = d_out.T @ acts[m]
-        d_b[m] = d_out.sum(axis=0)
-        d_a[m] += d_out @ self.weights[m]
-
+        if grads is None:
+            grads = np.empty_like(self.params)
+        d_w, d_b = _layer_views(self.spec, grads)
+        np.matmul(d_out.T, acts[m], out=d_w[m])
+        np.sum(d_out, axis=0, out=d_b[m])
+        # d_a[j]: gradient at hidden layer j's output, summed over the next
+        # layer and any skip it feeds.
+        d_a = [None] * (m + 1)
+        d_a[m] = d_out @ self.weights[m]
         for j in range(m, 0, -1):
-            d_z = d_a[j] * self._act_prime(pres[j - 1])
-            d_w[j - 1] = d_z.T @ acts[j - 1]
-            d_b[j - 1] = d_z.sum(axis=0)
-            d_a[j - 1] += d_z @ self.weights[j - 1]
+            s = cache.sigmoids[j - 1]
+            d_z = d_a[j] * (s * (1.0 + cache.pre_activations[j - 1] * (1.0 - s)))
+            np.matmul(d_z.T, acts[j - 1], out=d_w[j - 1])
+            np.sum(d_z, axis=0, out=d_b[j - 1])
+            if j > 1 or input_grad:
+                d_in = d_z @ self.weights[j - 1]
+                d_a[j - 1] = d_in if d_a[j - 1] is None else d_a[j - 1] + d_in
             src = self._skip_into.get(j)
             if src is not None:
-                d_a[src] += d_z
-        return Gradients(d_weights=d_w, d_biases=d_b), d_a[0]
+                d_a[src] = d_z if d_a[src] is None else d_a[src] + d_z
+        return grads, d_a[0]
 
     def input_gradient(self, d_input_full: np.ndarray) -> np.ndarray:
         """Restrict an assembled-input gradient to the x columns."""
         return d_input_full[:, : self.spec.x_dim]
 
     def clone(self) -> "FeedForwardNet":
-        return FeedForwardNet(
-            self.spec,
-            [w.copy() for w in self.weights],
-            [b.copy() for b in self.biases],
-        )
+        return FeedForwardNet(self.spec, self.params.copy())

@@ -152,11 +152,14 @@ def _read_tsv(path: Path, n_features: int):
     with path.open() as fh:
         header = fh.readline().rstrip("\n").split("\t")
         rows = [line.rstrip("\n").split("\t") for line in fh if line.strip()]
-    data = np.array([[float(v) for v in row] for row in rows]) if rows else np.empty(
-        (0, len(header))
-    )
-    if data.size and data.shape[1] != len(header):
+    if any(len(row) != len(header) for row in rows):
         raise DataError(f"{path.name}: row width does not match header")
+    try:
+        data = np.array([[float(v) for v in row] for row in rows]) if rows else np.empty(
+            (0, len(header))
+        )
+    except ValueError as exc:
+        raise DataError(f"{path.name}: non-numeric cell: {exc}") from exc
     return header, data[:, :n_features], data[:, n_features:]
 
 

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, DimensionMismatchError, NonFiniteLossError
-from .network import FeedForwardNet, NetSpec, _sigmoid
+from .network import FeedForwardNet, _sigmoid
 from .numerics import Rng
 
 
@@ -92,7 +92,7 @@ class Normalizer:
 
 
 class Adam:
-    """Standard Adam over a flat parameter vector."""
+    """Standard Adam over a flat parameter vector, updated in place."""
 
     def __init__(self, n_params: int, lr: float, beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
         self.lr = lr
@@ -102,14 +102,28 @@ class Adam:
         self.m = np.zeros(n_params)
         self.v = np.zeros(n_params)
         self.t = 0
+        self._step = np.empty(n_params)
+        self._denom = np.empty(n_params)
 
-    def step(self, params: np.ndarray, grads: np.ndarray) -> np.ndarray:
+    def step(self, params: np.ndarray, grads: np.ndarray) -> None:
+        """params -= lr * m_hat / (sqrt(v_hat) + eps), with each product
+        and sum evaluated in the order of that formula."""
         self.t += 1
-        self.m = self.beta1 * self.m + (1.0 - self.beta1) * grads
-        self.v = self.beta2 * self.v + (1.0 - self.beta2) * grads * grads
-        m_hat = self.m / (1.0 - self.beta1**self.t)
-        v_hat = self.v / (1.0 - self.beta2**self.t)
-        return params - self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+        step, denom = self._step, self._denom
+        self.m *= self.beta1
+        np.multiply(grads, 1.0 - self.beta1, out=step)
+        self.m += step
+        self.v *= self.beta2
+        np.multiply(grads, 1.0 - self.beta2, out=denom)
+        denom *= grads
+        self.v += denom
+        np.divide(self.v, 1.0 - self.beta2**self.t, out=denom)
+        np.sqrt(denom, out=denom)
+        denom += self.eps
+        np.divide(self.m, 1.0 - self.beta1**self.t, out=step)
+        step *= self.lr
+        step /= denom
+        params -= step
 
 
 def loss_and_output_grad(kind, y_pred, y_true, pinn_penalty=None, pinn_weight=0.0, row_ids=None):
@@ -151,13 +165,19 @@ def loss_and_output_grad(kind, y_pred, y_true, pinn_penalty=None, pinn_weight=0.
     raise ConfigError(f"unknown loss {kind!r}")
 
 
-def backprop_grads(net, x, y, kind="mse", t=None, cond=None, pinn_penalty=None, pinn_weight=0.0, row_ids=None):
-    """Loss plus full parameter gradient for one batch."""
+def backprop_grads(
+    net, x, y, kind="mse", t=None, cond=None, pinn_penalty=None, pinn_weight=0.0, row_ids=None,
+    grads=None, input_grad=True,
+):
+    """Loss, flat parameter gradient and input gradient for one batch.
+
+    ``grads`` and ``input_grad`` are passed on to ``net.backward_batch``.
+    """
     out, cache = net.forward_batch(x, t, cond, want_cache=True)
     loss, d_out = loss_and_output_grad(
         kind, out, np.asarray(y, dtype=float), pinn_penalty, pinn_weight, row_ids
     )
-    grads, d_input = net.backward_batch(cache, d_out)
+    grads, d_input = net.backward_batch(cache, d_out, grads, input_grad)
     return loss, grads, d_input
 
 
@@ -188,6 +208,7 @@ def train_network(
     n = x.shape[0]
     rng = Rng(cfg.seed).fork("shuffle")
     opt = Adam(net.param_count(), cfg.lr, cfg.beta1, cfg.beta2, cfg.adam_eps)
+    grads = np.empty_like(net.params)
     history = []
     for epoch in range(cfg.epochs):
         order = rng.permutation(n)
@@ -195,7 +216,7 @@ def train_network(
         for lo in range(0, n, cfg.batch_size):
             idx = order[lo : lo + cfg.batch_size]
             batch_cond = cond[idx] if cond is not None else None
-            loss, grads, _ = backprop_grads(
+            loss, _, _ = backprop_grads(
                 net,
                 x[idx],
                 y[idx],
@@ -204,10 +225,12 @@ def train_network(
                 pinn_penalty=pinn_penalty,
                 pinn_weight=cfg.pinn_weight,
                 row_ids=idx,
+                grads=grads,
+                input_grad=False,
             )
             if not np.isfinite(loss):
                 raise NonFiniteLossError(f"training loss became non-finite", epoch=epoch)
-            net.set_params(opt.step(net.get_params(), grads.flatten()))
+            opt.step(net.params, grads)
             losses.append(loss)
         history.append(float(np.mean(losses)))
     return TrainResult(net=net, history=np.array(history))

@@ -6,6 +6,7 @@ trained models) build once per module in a shared tmp directory.
 """
 
 import json
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -210,6 +211,64 @@ class TestTrain:
 
     def test_missing_data_dir(self, tmp_path):
         assert run_cli("train", "base", "--data", tmp_path / "nope", "--out", tmp_path / "m") == 3
+
+
+def _one_error_line(capsys, cls: str) -> None:
+    lines = capsys.readouterr().err.strip().split("\n")
+    assert len(lines) == 1 and lines[0].startswith(f"error\t{cls}\t"), lines
+
+
+def _corrupt_cell(src: Path, dst: Path, split: str) -> Path:
+    """Copy a dataset directory and overwrite the first cell of a split's
+    first data row with a word."""
+    shutil.copytree(src, dst)
+    path = dst / f"{split}.tsv"
+    lines = path.read_text().split("\n")
+    lines[1] = "\t".join(["abc"] + lines[1].split("\t")[1:])
+    path.write_text("\n".join(lines))
+    return dst
+
+
+class TestMalformedInputs:
+    def test_non_numeric_pf_cell(self, pf_data, tmp_path, capsys):
+        data = _corrupt_cell(pf_data, tmp_path / "pf", "train")
+        assert run_cli("train", "base", "--data", data, "--out", tmp_path / "m") == 3
+        _one_error_line(capsys, "DataError")
+
+    def test_non_numeric_tabular_cell(self, tab_data, tmp_path, capsys):
+        data = _corrupt_cell(tab_data, tmp_path / "tab", "val")
+        assert run_cli("train", "classifier", "--data", data, "--out", tmp_path / "m") == 3
+        _one_error_line(capsys, "DataError")
+
+    def test_malformed_model_header(self, pf_data, pf_models, tmp_path, capsys):
+        bad = tmp_path / "bad.npz"
+        np.savez(bad, header=np.frombuffer(b'{"kind": ', dtype=np.uint8))
+        code = run_cli(
+            "refine", "--model", bad, "--eps", pf_models[1], "--data", pf_data,
+            "--out", tmp_path / "r",
+        )
+        assert code == 3
+        _one_error_line(capsys, "DataError")
+
+    @pytest.mark.parametrize(
+        "cfg",
+        [{"hidden": "abc"}, {"hidden": [64, "x"]}, {"epochs": 2.5}, {"lr": "fast"},
+         {"seed": "one"}, {"batch_size": True}],
+        ids=lambda c: json.dumps(c),
+    )
+    def test_wrongly_typed_config(self, pf_data, tmp_path, capsys, cfg):
+        path = write_json(tmp_path / "cfg.json", cfg)
+        code = run_cli("train", "base", "--data", pf_data, "--config", path,
+                       "--out", tmp_path / "m")
+        assert code == 2
+        _one_error_line(capsys, "ConfigError")
+
+    def test_wrongly_typed_nested_config(self, pf_data, tmp_path, capsys):
+        path = write_json(tmp_path / "cfg.json", {"schedule": {"T": "100"}})
+        code = run_cli("train", "eps", "--data", pf_data, "--config", path,
+                       "--out", tmp_path / "m")
+        assert code == 2
+        _one_error_line(capsys, "ConfigError")
 
 
 @pytest.fixture(scope="module")

@@ -1,14 +1,18 @@
 """Architecture, backprop exactness, training behavior, persistence."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
+from diffrefine.diffusion import make_schedule, train_noise_model
 from diffrefine.errors import ConfigError, DimensionMismatchError, NonFiniteLossError
 from diffrefine.model_store import TrainedModel, load_model, save_model
-from diffrefine.network import FeedForwardNet, NetSpec, TimeEmbedding, silu
+from diffrefine.network import FeedForwardNet, NetSpec, TimeEmbedding, _sigmoid, silu
 from diffrefine.numerics import Rng, finite_diff_grad
 from diffrefine.potentials import CallablePotential
 from diffrefine.training import (
+    Adam,
     Normalizer,
     TrainConfig,
     backprop_grads,
@@ -284,3 +288,98 @@ class TestPersistence:
             seed=0,
         )
         assert model.predict(np.array([5.0]))[0] == pytest.approx(14.0)
+
+
+def _masked_sigmoid(z):
+    """The boolean-mask formula the branch-free sigmoid must reproduce."""
+    out = np.empty_like(z)
+    pos = z >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
+    ez = np.exp(z[~pos])
+    out[~pos] = ez / (1.0 + ez)
+    return out
+
+
+def _sha256(arr) -> str:
+    return hashlib.sha256(np.ascontiguousarray(arr, dtype=float).tobytes()).hexdigest()
+
+
+class TestBitIdentity:
+    """Faster arithmetic must not change a single bit of what is computed."""
+
+    @pytest.mark.parametrize("scale", [1e-3, 1.0, 30.0, 800.0])
+    def test_sigmoid_matches_masked_formula(self, scale):
+        z = Rng(3).normal((64, 33)) * scale
+        assert _sigmoid(z).tobytes() == _masked_sigmoid(z).tobytes()
+
+    def test_sigmoid_extremes(self):
+        z = np.array([1000.0, -1000.0, 0.0, -0.0, 1e-300, -1e-300])
+        got = _sigmoid(z)
+        assert got.tobytes() == _masked_sigmoid(z).tobytes()
+        assert got[0] == 1.0 and got[1] == 0.0 and got[2] == 0.5
+
+    def test_layers_are_views_of_params(self):
+        spec = NetSpec(x_dim=3, hidden=(6, 6), out_dim=2, time_dim=8, skips=True)
+        net = FeedForwardNet.init(spec, Rng(4))
+        for w, b in zip(net.weights, net.biases):
+            assert np.shares_memory(w, net.params)
+            assert np.shares_memory(b, net.params)
+        net.biases[-1] = np.array([0.5, -1.5])
+        assert np.shares_memory(net.biases[-1], net.params)
+        assert np.array_equal(net.params[-2:], [0.5, -1.5])
+
+    def test_adam_updates_params_in_place(self):
+        net = FeedForwardNet.init(NetSpec(x_dim=2, hidden=(5,), out_dim=1), Rng(5))
+        params = net.params
+        expected = params.copy()
+        m = np.zeros_like(expected)
+        v = np.zeros_like(expected)
+        opt = Adam(net.param_count(), lr=1e-2)
+        for t, g in enumerate(Rng(6).normal((3, net.param_count())), start=1):
+            # The textbook update, evaluated out of place.
+            m = 0.9 * m + (1.0 - 0.9) * g
+            v = 0.999 * v + (1.0 - 0.999) * g * g
+            m_hat = m / (1.0 - 0.9**t)
+            v_hat = v / (1.0 - 0.999**t)
+            expected = expected - 1e-2 * m_hat / (np.sqrt(v_hat) + 1e-8)
+            assert opt.step(net.params, g) is None
+        assert net.params is params
+        assert params.tobytes() == expected.tobytes()
+        assert np.array_equal(net.weights[0].ravel(), expected[:10])
+
+    def test_backward_into_buffer_without_input_gradient(self):
+        spec = NetSpec(x_dim=2, hidden=(4, 4), out_dim=2, skips=True)
+        net = FeedForwardNet.init(spec, Rng(6))
+        x = Rng(7).normal((5, 2))
+        y = Rng(8).normal((5, 2))
+        _, ref, d_input = backprop_grads(net, x, y)
+        buf = np.empty_like(net.params)
+        _, grads, skipped = backprop_grads(net, x, y, grads=buf, input_grad=False)
+        assert grads is buf and skipped is None and d_input is not None
+        assert grads.tobytes() == ref.tobytes()
+
+    # Recorded before the flat parameter buffer, the cached sigmoid and the
+    # in-place Adam replaced per-layer arrays and per-step copies, with
+    # numpy's bundled OpenBLAS on x86-64 (a BLAS built for other hardware
+    # may round matrix products differently).
+    TRAIN_NETWORK_SHA = "99647f326effc270ae2b8eb70f1ac8dd871bb1e460767b997c084517d085c800"
+    TRAIN_NOISE_SHA = "b9b5175d391fd0a7ebbb863cbfe9f418a39dfd2af8b907a1f31a50740142fc13"
+
+    def test_train_network_params_unchanged(self):
+        rng = Rng(41)
+        x = rng.normal((50, 3))
+        y = np.tanh(x[:, :2]) + 0.1 * x[:, 2:]
+        spec = NetSpec(x_dim=3, hidden=(16, 16), out_dim=2, skips=True)
+        net = FeedForwardNet.init(spec, Rng(42))
+        train_network(net, x, y, TrainConfig(epochs=4, batch_size=16, lr=1e-2, seed=43))
+        assert _sha256(net.params) == self.TRAIN_NETWORK_SHA
+
+    def test_train_noise_model_params_unchanged(self):
+        rng = Rng(51)
+        data = rng.normal((60, 2))
+        cond = rng.normal((60, 3))
+        cfg = TrainConfig(epochs=3, batch_size=16, lr=1e-3, seed=52, loss="eps")
+        model = train_noise_model(
+            data, make_schedule(20), cfg, conditions=cond, hidden=(16, 16), time_dim=8
+        )
+        assert _sha256(model.net.params) == self.TRAIN_NOISE_SHA
