@@ -205,6 +205,8 @@ def _read_split_tsv(path: Path, names) -> TabularSplit:
                 labs.append(int(parts[-1]))
             except ValueError as exc:
                 raise DataError(f"{path.name} line {lineno}: non-numeric cell: {exc}") from exc
+            if not np.all(np.isfinite(feats[-1])):
+                raise DataError(f"{path.name} line {lineno}: non-finite feature value")
     return TabularSplit(features=np.array(feats), labels=np.array(labs, dtype=int))
 
 
@@ -354,10 +356,14 @@ class AttackConfig:
         return cls(**cfg)
 
 
-def _encoded_bounds(model: TrainedModel, pot: RelationalConstraintSet):
+def _attack_frame(model: TrainedModel, x0, pot: RelationalConstraintSet | None):
+    """The schema (the bundled one by default), the clean rows in the
+    classifier's normalized space, and the feature bounds there."""
+    if pot is None:
+        pot = load_schema()
     lo = model.x_norm.encode(pot.bounds[:, 0][None, :])[0]
     hi = model.x_norm.encode(pot.bounds[:, 1][None, :])[0]
-    return lo, hi
+    return pot, model.x_norm.encode(np.atleast_2d(np.asarray(x0, dtype=float))), lo, hi
 
 
 def _project(z, z0, eps, lo, hi):
@@ -373,25 +379,26 @@ def _ce_input_grad(model: TrainedModel, z: np.ndarray, y: np.ndarray) -> np.ndar
     return model.net.input_gradient(d_full)
 
 
+def _signed_gradient_steps(model, z, z0, y, cfg, lo, hi, steps, pot=None, mu=0.0):
+    """``steps`` signed-gradient ascent steps on the classification loss
+    minus mu * phi, each projected onto the budget ball around z0
+    intersected with the feature bounds."""
+    std = np.asarray(model.x_norm.std, dtype=float)
+    for _ in range(steps):
+        g = _ce_input_grad(model, z, y)
+        if mu > 0.0:
+            # chain rule: phi is defined on raw features
+            g = g - mu * pot.grad_batch(model.x_norm.decode(z)) * std[None, :]
+        z = _project(z + cfg.step * np.sign(g), z0, cfg.eps, lo, hi)
+    return z
+
+
 def pgd_attack(
     model: TrainedModel, x0, y, cfg: AttackConfig, pot: RelationalConstraintSet | None = None
 ) -> np.ndarray:
-    """Signed-gradient ascent on the classification loss.
-
-    Runs k * cycles steps, each projected onto the budget ball around
-    the clean point intersected with the feature bounds.
-    """
-    if pot is None:
-        pot = load_schema()
-    x0 = np.atleast_2d(np.asarray(x0, dtype=float))
-    y = np.asarray(y)
-    lo, hi = _encoded_bounds(model, pot)
-    z0 = model.x_norm.encode(x0)
-    z = z0.copy()
-    for _ in range(cfg.k * cfg.cycles):
-        g = _ce_input_grad(model, z, y)
-        z = _project(z + cfg.step * np.sign(g), z0, cfg.eps, lo, hi)
-    return model.x_norm.decode(z)
+    """Signed-gradient ascent on the classification loss: the penalty
+    attack with mu = 0."""
+    return penalty_pgd_attack(model, x0, y, cfg, pot, mu=0.0)
 
 
 def penalty_pgd_attack(
@@ -402,23 +409,12 @@ def penalty_pgd_attack(
     pot: RelationalConstraintSet | None = None,
     mu: float = 1.0,
 ) -> np.ndarray:
-    """Same loop as ``pgd_attack`` on the objective loss - mu * phi."""
+    """k * cycles projected signed-gradient steps on the objective
+    loss - mu * phi."""
     if mu < 0:
         raise ConfigError(f"mu must be >= 0, got {mu}")
-    if pot is None:
-        pot = load_schema()
-    x0 = np.atleast_2d(np.asarray(x0, dtype=float))
-    y = np.asarray(y)
-    lo, hi = _encoded_bounds(model, pot)
-    std = np.asarray(model.x_norm.std, dtype=float)
-    z0 = model.x_norm.encode(x0)
-    z = z0.copy()
-    for _ in range(cfg.k * cfg.cycles):
-        g = _ce_input_grad(model, z, y)
-        if mu > 0.0:
-            # chain rule: phi is defined on raw features
-            g = g - mu * pot.grad_batch(model.x_norm.decode(z)) * std[None, :]
-        z = _project(z + cfg.step * np.sign(g), z0, cfg.eps, lo, hi)
+    pot, z0, lo, hi = _attack_frame(model, x0, pot)
+    z = _signed_gradient_steps(model, z0, z0, np.asarray(y), cfg, lo, hi, cfg.k * cfg.cycles, pot, mu)
     return model.x_norm.decode(z)
 
 
@@ -463,22 +459,16 @@ def cyclic_attack(
     """
     if prior is None:
         raise ConfigError("cyclic attack needs a diffusion prior over feasible rows")
-    if pot is None:
-        pot = load_schema()
-    x0 = np.atleast_2d(np.asarray(x0, dtype=float))
+    pot, z0, lo, hi = _attack_frame(model, x0, pot)
     y = np.asarray(y)
-    lo, hi = _encoded_bounds(model, pot)
-    z0 = model.x_norm.encode(x0)
-    z = z0.copy()
+    z = z0
     log = CycleLog()
     # inject at level tau unless told otherwise, so the refinement
     # walks the full tau-step ladder down to the data level
     start = cfg.start_step if cfg.start_step is not None else max(cfg.tau, 1)
     refine_cfg = RefineConfig(steps=cfg.tau, start_step=start, lam=cfg.lam)
     for _ in range(cfg.cycles):
-        for _ in range(cfg.k):
-            g = _ce_input_grad(model, z, y)
-            z = _project(z + cfg.step * np.sign(g), z0, cfg.eps, lo, hi)
+        z = _signed_gradient_steps(model, z, z0, y, cfg, lo, hi, cfg.k)
         x = model.x_norm.decode(z)
         log.phi_after_pgd.append(pot.value_batch(x))
         refined = np.stack([refine(row, pot, prior, refine_cfg).x for row in x])

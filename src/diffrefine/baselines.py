@@ -11,6 +11,7 @@ ends up.
 
 from __future__ import annotations
 
+import functools
 import importlib.resources
 import json
 from dataclasses import dataclass, field
@@ -20,7 +21,7 @@ import numpy as np
 from .errors import ConfigError, SingularHessianError, SingularMatrixError
 from .guidance import RefineConfig, refine
 from .model_store import TrainedModel
-from .numerics import as_vector, finite_diff_jacobian, require_finite, solve_linear
+from .numerics import as_vector, finite_diff_jacobian, map_row_chunks, require_finite, solve_linear
 from .potentials import ConstraintPotential, locate_stationary_points
 
 COMPARISON_METHODS = ("gd", "nr", "refine")
@@ -392,26 +393,18 @@ def scenario_penalty(case, features, y_norm, ybus=None):
     trains far worse on the larger case.
     """
     from .powerflow import build_ybus
-    from .powerflow.metrics import batch_states
-    from .powerflow.solver import complex_power, mismatch_jacobian_batch
+    from .powerflow.solver import grid_residual, grid_residual_grad
 
     features = np.asarray(features, dtype=float)
     if ybus is None:
         ybus = build_ybus(case)
-    k = len(case.non_slack)
 
     def penalty(y_pred_norm, row_ids):
         x = y_norm.decode(y_pred_norm)
-        vm, va = batch_states(case, x)
-        s = complex_power(ybus, vm, va)
         rows = features[row_ids]
-        f = np.concatenate(
-            [rows[:, :k] - s.real[:, case.non_slack], rows[:, k:] - s.imag[:, case.pq]],
-            axis=1,
-        )
+        f = grid_residual(case, ybus, x, rows)
         nrm = np.sqrt(np.sum(f * f, axis=1))
-        jac = mismatch_jacobian_batch(case, ybus, vm, va)
-        grad_phi = -2.0 * np.einsum("bij,bi->bj", jac, f)
+        grad_phi = grid_residual_grad(case, ybus, x, rows)
         dnrm = grad_phi / (2.0 * np.maximum(nrm, 1e-12)[:, None])
         return nrm, dnrm * y_norm.std[None, :]
 
@@ -465,7 +458,9 @@ def train_power_pinn(case, ds, cfg=None, hidden=(64, 64)) -> TrainedModel:
     return _fit_estimator(case, ds, cfg, hidden, pinn=True)
 
 
-def train_power_prior(case, ds, schedule=None, cfg=None, hidden=(128, 128)) -> TrainedModel:
+def train_power_prior(
+    case, ds, schedule=None, cfg=None, hidden=(128, 128), time_dim=16
+) -> TrainedModel:
     """Noise model over solved states, conditioned on the injections."""
     from .diffusion import make_schedule, train_noise_model
     from .training import TrainConfig
@@ -480,10 +475,11 @@ def train_power_prior(case, ds, schedule=None, cfg=None, hidden=(128, 128)) -> T
         cfg,
         conditions=ds.train.features,
         hidden=tuple(hidden),
+        time_dim=time_dim,
     )
 
 
-def _refine_power_chunk(case, ybus, prior, predictions, features, cfg) -> np.ndarray:
+def _refine_power_chunk(case, ybus, prior, cfg, predictions, features) -> np.ndarray:
     from .powerflow import injections_from_features, kirchhoff_potential
 
     out = np.empty_like(predictions)
@@ -510,20 +506,8 @@ def refine_power_batch(
         raise ConfigError("workers must be at least 1")
     if ybus is None:
         ybus = build_ybus(case)
-    if workers == 1 or predictions.shape[0] < 2 * workers:
-        return _refine_power_chunk(case, ybus, prior, predictions, features, cfg)
-    import concurrent.futures
-
-    chunks = np.array_split(np.arange(predictions.shape[0]), workers)
-    out = np.empty_like(predictions)
-    with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
-        futures = [
-            pool.submit(_refine_power_chunk, case, ybus, prior, predictions[c], features[c], cfg)
-            for c in chunks if c.size
-        ]
-        for c, fut in zip([c for c in chunks if c.size], futures):
-            out[c] = fut.result()
-    return out
+    chunk = functools.partial(_refine_power_chunk, case, ybus, prior, cfg)
+    return map_row_chunks(chunk, (predictions, features), workers)
 
 
 @dataclass

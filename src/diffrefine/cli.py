@@ -25,6 +25,7 @@ import hashlib
 import json
 import sys
 import time
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -305,7 +306,6 @@ def cmd_gen_data(args) -> int:
     if args.track == "pf":
         if args.print_config:
             return _print_config(GEN_PF_DEFAULTS)
-        from functools import partial
 
         from .powerflow import PowerFlowDataset, load_case, save_dataset
         from .powerflow.data import feature_names, target_names
@@ -341,7 +341,6 @@ def cmd_gen_data(args) -> int:
 
     if args.print_config:
         return _print_config(GEN_TABULAR_DEFAULTS)
-    from functools import partial
 
     from .adversarial import (
         GROUND_TRUTH_SEED,
@@ -440,7 +439,8 @@ def cmd_train(args) -> int:
 
             ds = load_dataset(args.data)
             model = train_power_prior(
-                load_case(ds.case_name), ds, schedule=sched, cfg=tc, hidden=hidden
+                load_case(ds.case_name), ds, schedule=sched, cfg=tc, hidden=hidden,
+                time_dim=cfg["time_dim"],
             )
         else:
             from .adversarial import load_tabular_dataset, train_feasible_prior
@@ -648,23 +648,10 @@ def _attack_rows(kind, model, pot, prior, cfg, mu, x, y):
 
 
 def _make_attack(kind, model, pot, prior, cfg, mu, workers):
-    def attack(x, y):
-        if workers == 1 or x.shape[0] < 2 * workers:
-            return _attack_rows(kind, model, pot, prior, cfg, mu, x, y)
-        import concurrent.futures
+    from .numerics import map_row_chunks
 
-        chunks = [c for c in np.array_split(np.arange(x.shape[0]), workers) if c.size]
-        out = np.empty_like(x)
-        with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
-            futures = [
-                pool.submit(_attack_rows, kind, model, pot, prior, cfg, mu, x[c], y[c])
-                for c in chunks
-            ]
-            for c, fut in zip(chunks, futures):
-                out[c] = fut.result()
-        return out
-
-    return attack
+    rows = partial(_attack_rows, kind, model, pot, prior, cfg, mu)
+    return lambda x, y: map_row_chunks(rows, (x, y), workers)
 
 
 def cmd_attack(args) -> int:

@@ -24,7 +24,7 @@ from .errors import ConfigError, DegenerateAlphaError, DimensionMismatchError
 from .model_store import TrainedModel
 from .network import FeedForwardNet, NetSpec
 from .numerics import Rng, require_finite
-from .training import Adam, Normalizer, TrainConfig, backprop_grads
+from .training import Adam, Normalizer, TrainConfig, train_epoch
 
 DDIM_MODES = ("standard", "truncated")
 
@@ -165,6 +165,14 @@ def ddim_step(
 # Noise-estimator training.
 # ---------------------------------------------------------------------------
 
+def _noised_draws(rng: Rng, z: np.ndarray, schedule: NoiseSchedule):
+    """One (step, noise) draw per row of z, and the rows corrupted by it."""
+    ts = rng.integers(1, schedule.T + 1, size=z.shape[0])
+    eps = rng.normal(z.shape)
+    ab = schedule.alpha_bars[ts]
+    return ts, eps, np.sqrt(ab)[:, None] * z + np.sqrt(1.0 - ab)[:, None] * eps
+
+
 def train_noise_model(
     data: np.ndarray,
     schedule: NoiseSchedule,
@@ -225,29 +233,15 @@ def train_noise_model(
     history = []
     for epoch in range(cfg.epochs):
         order = shuffle.permutation(n_trn)
-        ts = draw.integers(1, schedule.T + 1, size=n_trn)
-        eps = draw.normal((n_trn, dim))
-        ab = schedule.alpha_bars[ts]
-        x_noised = np.sqrt(ab)[:, None] * z_trn + np.sqrt(1.0 - ab)[:, None] * eps
-        losses = []
-        for lo in range(0, n_trn, cfg.batch_size):
-            idx = order[lo : lo + cfg.batch_size]
-            batch_cond = c_trn[idx] if c_trn is not None else None
-            loss, _, _ = backprop_grads(
-                net, x_noised[idx], eps[idx], kind="eps", t=ts[idx], cond=batch_cond,
-                grads=grads, input_grad=False,
-            )
-            opt.step(net.params, grads)
-            losses.append(loss)
-        history.append(float(np.mean(losses)))
+        ts, eps, x_noised = _noised_draws(draw, z_trn, schedule)
+        history.append(
+            train_epoch(net, opt, grads, order, x_noised, eps, cfg.batch_size, "eps", epoch,
+                        t=ts, cond=c_trn)
+        )
 
     extra = {"schedule_betas": schedule.betas}
     if n_val:
-        vrng = Rng(cfg.seed).fork("val-draws")
-        ts = vrng.integers(1, schedule.T + 1, size=n_val)
-        eps = vrng.normal((n_val, dim))
-        ab = schedule.alpha_bars[ts]
-        x_noised = np.sqrt(ab)[:, None] * z[val_idx] + np.sqrt(1.0 - ab)[:, None] * eps
+        ts, eps, x_noised = _noised_draws(Rng(cfg.seed).fork("val-draws"), z[val_idx], schedule)
         batch_cond = c_all[val_idx] if c_all is not None else None
         pred = net.forward(x_noised, t=ts, cond=batch_cond)
         extra["val_eps_mse"] = float(np.mean((pred - eps) ** 2))
@@ -291,14 +285,5 @@ def generate(
         c = model.x_norm.encode(np.asarray(conditions, dtype=float))
     for t in range(schedule.T, 0, -1):
         eps_hat = model.net.forward(z, t=np.full(n, t), cond=c)
-        x0_hat = (z - np.sqrt(1.0 - schedule.alpha_bar(t)) * eps_hat) / np.sqrt(
-            schedule.alpha_bar(t)
-        )
-        ab_p = schedule.alpha_bar(t - 1)
-        sig = schedule.sigma(t, eta) if eta > 0.0 else 0.0
-        z = np.sqrt(ab_p) * x0_hat
-        if mode == "standard":
-            z = z + np.sqrt(max(1.0 - ab_p - sig * sig, 0.0)) * eps_hat
-        if sig > 0.0:
-            z = z + sig * rng.normal((n, dim))
+        z = ddim_step(z, t, eps_hat, schedule, eta=eta, mode=mode, rng=rng)
     return model.y_norm.decode(z)

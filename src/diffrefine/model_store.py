@@ -13,11 +13,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DataError
+from .errors import ConfigError, DataError, DimensionMismatchError
 from .network import FeedForwardNet, NetSpec
 from .training import Normalizer
 
 FORMAT_VERSION = 1
+MODEL_ARRAYS = ("params", "x_mean", "x_std", "y_mean", "y_std")
 
 
 @dataclass
@@ -39,23 +40,11 @@ class TrainedModel:
     extra: dict = field(default_factory=dict)
 
     def predict(self, x) -> np.ndarray:
-        """Regressor-style prediction in physical units."""
-        x = np.asarray(x, dtype=float)
-        single = x.ndim == 1
-        if single:
-            x = x[None, :]
-        z = self.x_norm.encode(x)
-        out = self.net.forward(z)
-        y = self.y_norm.decode(out)
-        return y[0] if single else y
+        """Regressor-style prediction in physical units, for one row or a batch."""
+        return self.y_norm.decode(self.net.forward(self.x_norm.encode(x)))
 
     def predict_logits(self, x) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        single = x.ndim == 1
-        if single:
-            x = x[None, :]
-        out = self.net.forward(self.x_norm.encode(x))[:, 0]
-        return out[0] if single else out
+        return self.net.forward(self.x_norm.encode(x))[..., 0]
 
 
 def save_model(path, model: TrainedModel) -> None:
@@ -105,18 +94,27 @@ def load_model(path) -> TrainedModel:
             f"model file {path} has format version {header.get('format_version')}, "
             f"expected {FORMAT_VERSION}"
         )
-    spec = NetSpec.from_config(header["spec"])
-    net = FeedForwardNet.init(spec, rng=_zero_rng())
-    net.set_params(data["params"])
-    extra = dict(header.get("extra", {}))
-    for k in header.get("extra_arrays", []):
-        extra[k] = data[f"extra_{k}"]
+    missing = [k for k in MODEL_ARRAYS if k not in data]
+    if missing:
+        raise DataError(f"model file {path} lacks the arrays {missing}")
+    try:
+        kind = header["kind"]
+        if not isinstance(kind, str):
+            raise TypeError(f"kind must be a string, got {kind!r}")
+        seed = int(header["seed"])
+        net = FeedForwardNet.init(NetSpec.from_config(header["spec"]), rng=_zero_rng())
+        net.set_params(data["params"])
+        extra = dict(header.get("extra", {}))
+        for k in header.get("extra_arrays", []):
+            extra[k] = data[f"extra_{k}"]
+    except (KeyError, TypeError, ValueError, OverflowError, ConfigError, DimensionMismatchError) as exc:
+        raise DataError(f"model file {path} is malformed: {exc!r}") from exc
     return TrainedModel(
-        kind=header["kind"],
+        kind=kind,
         net=net,
         x_norm=Normalizer(mean=data["x_mean"], std=data["x_std"]),
         y_norm=Normalizer(mean=data["y_mean"], std=data["y_std"]),
-        seed=int(header["seed"]),
+        seed=seed,
         train_config=header.get("train_config", {}),
         loss_history=data.get("loss_history", np.zeros(0)),
         extra=extra,

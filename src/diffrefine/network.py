@@ -208,8 +208,7 @@ class FeedForwardNet:
 
     def _assemble_input(self, x, t, cond) -> np.ndarray:
         x = np.asarray(x, dtype=float)
-        single = x.ndim == 1
-        if single:
+        if x.ndim == 1:
             x = x[None, :]
         if x.shape[1] != self.spec.x_dim:
             raise DimensionMismatchError(
@@ -232,19 +231,16 @@ class FeedForwardNet:
                     f"condition has width {c.shape[1]}, expected {self.spec.cond_dim}"
                 )
             parts.append(c)
-        return np.concatenate(parts, axis=1), single
+        return np.concatenate(parts, axis=1)
 
     def forward(self, x, t=None, cond=None) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        if x.ndim == 1:
-            y, _ = self.forward_batch(x[None, :], t, cond)
-            return y[0]
+        """Outputs for one row or a batch of rows."""
         y, _ = self.forward_batch(x, t, cond)
-        return y
+        return y[0] if np.ndim(x) == 1 else y
 
     def forward_batch(self, x, t=None, cond=None, want_cache: bool = False):
         """Batched forward pass; returns (outputs, cache or None)."""
-        inp, _ = self._assemble_input(x, t, cond)
+        inp = self._assemble_input(x, t, cond)
         m = len(self.spec.hidden)
         cache = ForwardCache(inputs=inp) if want_cache else None
         a = inp

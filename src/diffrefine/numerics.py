@@ -1,4 +1,5 @@
-"""Dense linear algebra, derivative probes, and seeded randomness.
+"""Dense linear algebra, derivative probes, seeded randomness, and a
+row-chunk process pool.
 
 Everything numeric downstream funnels through here so the error
 contracts (finiteness checks, singularity thresholds, seed handling)
@@ -212,3 +213,22 @@ class Rng:
 
     def __repr__(self):
         return f"Rng(seed={self.seed})"
+
+
+def map_row_chunks(fn, arrays, workers: int) -> np.ndarray:
+    """``fn(*arrays)`` with the rows split into ``workers`` contiguous
+    chunks, one worker process each; the results are stacked in row
+    order.  Runs in this process when workers is 1 or there are fewer
+    than two rows per worker.  ``fn`` must be picklable."""
+    n = arrays[0].shape[0]
+    if workers == 1 or n < 2 * workers:
+        return fn(*arrays)
+    import concurrent.futures
+
+    chunks = np.array_split(np.arange(n), workers)
+    out = np.empty_like(arrays[0])
+    with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
+        futures = [pool.submit(fn, *(a[c] for a in arrays)) for c in chunks]
+        for c, fut in zip(chunks, futures):
+            out[c] = fut.result()
+    return out

@@ -47,9 +47,6 @@ class ConstraintPotential:
     def grad(self, x) -> np.ndarray:
         raise NotImplementedError
 
-    def value_and_grad(self, x):
-        return self.value(x), self.grad(x)
-
     def value_batch(self, xs) -> np.ndarray:
         xs = np.asarray(xs, dtype=float)
         return np.array([self.value(row) for row in xs])

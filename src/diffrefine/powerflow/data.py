@@ -23,7 +23,7 @@ import numpy as np
 from ..errors import DataError, DatasetInfeasibleError, NoConvergenceError
 from ..numerics import Rng
 from .grid import BUNDLED_CASES, GridCase, case_text
-from .solver import Injections, newton_raphson, pack_state
+from .solver import Injections, injection_features, newton_raphson, pack_state
 from .ybus import build_ybus
 
 FORMAT_VERSION = 1
@@ -103,8 +103,7 @@ def _draw_split(case, ybus, n: int, spread: float, rng: Rng, tol: float) -> Spli
                     f"{failures} of {draws} scenario draws failed to converge"
                 ) from None
             continue
-        feats[got, : len(case.non_slack)] = inj.p_spec[case.non_slack]
-        feats[got, len(case.non_slack) :] = inj.q_spec[case.pq]
+        feats[got] = injection_features(case, inj)
         targs[got] = pack_state(case, res.state)
         got += 1
     return Split(features=feats, targets=targs)
@@ -160,6 +159,9 @@ def _read_tsv(path: Path, n_features: int):
         )
     except ValueError as exc:
         raise DataError(f"{path.name}: non-numeric cell: {exc}") from exc
+    bad = np.argwhere(~np.isfinite(data))
+    if bad.size:
+        raise DataError(f"{path.name} line {bad[0][0] + 2}: non-finite cell")
     return header, data[:, :n_features], data[:, n_features:]
 
 

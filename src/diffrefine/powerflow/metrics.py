@@ -15,7 +15,7 @@ import numpy as np
 from ..errors import DimensionMismatchError
 from ..training import Normalizer
 from .grid import GridCase
-from .solver import complex_power, flat_start
+from .solver import grid_residual
 from .ybus import YBus, build_ybus
 
 
@@ -45,23 +45,6 @@ class MetricsReport:
         }
 
 
-def batch_states(case: GridCase, xs: np.ndarray):
-    """Expand packed unknown vectors to full (vm, va) arrays."""
-    xs = np.asarray(xs, dtype=float)
-    if xs.ndim != 2 or xs.shape[1] != case.n_unknowns:
-        raise DimensionMismatchError(
-            f"need (m, {case.n_unknowns}) unknown vectors, got {xs.shape}"
-        )
-    m = xs.shape[0]
-    base = flat_start(case)
-    vm = np.tile(base.vm, (m, 1))
-    va = np.tile(base.va, (m, 1))
-    k = len(case.non_slack)
-    va[:, case.non_slack] = xs[:, :k]
-    vm[:, case.pq] = xs[:, k:]
-    return vm, va
-
-
 def peak_mismatches(case: GridCase, ybus: YBus, predictions: np.ndarray, features: np.ndarray):
     """Per-sample worst |ΔP| (MW) and |ΔQ| (MVAr) under each feature
     row's injections."""
@@ -69,11 +52,9 @@ def peak_mismatches(case: GridCase, ybus: YBus, predictions: np.ndarray, feature
     features = np.asarray(features, dtype=float)
     if features.shape[0] != predictions.shape[0]:
         raise DimensionMismatchError("features and predictions row counts differ")
-    vm, va = batch_states(case, predictions)
-    s = complex_power(ybus, vm, va)
+    f = grid_residual(case, ybus, predictions, features)
     k = len(case.non_slack)
-    dp = features[:, :k] - s.real[:, case.non_slack]
-    dq = features[:, k:] - s.imag[:, case.pq]
+    dp, dq = f[:, :k], f[:, k:]
     mapm = np.abs(dp).max(axis=1) * case.base_mva
     mrpm = (
         np.abs(dq).max(axis=1) * case.base_mva

@@ -65,16 +65,31 @@ def pack_state(case: GridCase, state: PowerFlowState) -> np.ndarray:
 
 
 def unpack_state(case: GridCase, x) -> PowerFlowState:
-    x = np.asarray(x, dtype=float)
-    if x.shape != (case.n_unknowns,):
+    vm, va = batch_states(case, np.asarray(x, dtype=float)[None])
+    return PowerFlowState(vm=vm[0], va=va[0])
+
+
+def batch_states(case: GridCase, xs):
+    """Expand packed unknown vectors (m, n_unknowns) to full (vm, va) arrays."""
+    xs = np.asarray(xs, dtype=float)
+    if xs.ndim != 2 or xs.shape[1] != case.n_unknowns:
         raise DimensionMismatchError(
-            f"unknown vector needs shape ({case.n_unknowns},), got {x.shape}"
+            f"need (m, {case.n_unknowns}) unknown vectors, got {xs.shape}"
         )
+    m = xs.shape[0]
+    base = flat_start(case)
+    vm = np.tile(base.vm, (m, 1))
+    va = np.tile(base.va, (m, 1))
     k = len(case.non_slack)
-    state = flat_start(case)
-    state.va[case.non_slack] = x[:k]
-    state.vm[case.pq] = x[k:]
-    return state
+    va[:, case.non_slack] = xs[:, :k]
+    vm[:, case.pq] = xs[:, k:]
+    return vm, va
+
+
+def injection_features(case: GridCase, injections: Injections) -> np.ndarray:
+    """The spec in the dataset feature layout: p_spec at non-slack
+    buses, then q_spec at PQ buses."""
+    return np.concatenate([injections.p_spec[case.non_slack], injections.q_spec[case.pq]])
 
 
 def complex_power(ybus: YBus, vm, va) -> np.ndarray:
@@ -95,8 +110,31 @@ def mismatch(case: GridCase, ybus: YBus, state: PowerFlowState, injections: Inje
 
 
 def mismatch_vector(case, ybus, x, injections=None) -> np.ndarray:
-    dp, dq = mismatch(case, ybus, unpack_state(case, x), injections)
-    return np.concatenate([dp, dq])
+    return KirchhoffPotential(case, ybus, injections).residual(x)
+
+
+def grid_residual(case: GridCase, ybus: YBus, xs, spec) -> np.ndarray:
+    """Spec minus calculated power for packed states xs (m, n_unknowns),
+    in the feature layout: ΔP at non-slack buses, then ΔQ at PQ buses.
+
+    spec is one feature row for every state, or one row per state.
+    """
+    vm, va = batch_states(case, xs)
+    s = complex_power(ybus, vm, va)
+    spec = np.asarray(spec, dtype=float)
+    k = len(case.non_slack)
+    return np.concatenate(
+        [spec[..., :k] - s.real[:, case.non_slack], spec[..., k:] - s.imag[:, case.pq]], axis=1
+    )
+
+
+def grid_residual_grad(case: GridCase, ybus: YBus, xs, spec) -> np.ndarray:
+    """Gradient of the squared residual norm per state, -2 JᵀF, where
+    J is the Newton Jacobian (d(residual)/dx = -J)."""
+    f = grid_residual(case, ybus, xs, spec)
+    vm, va = batch_states(case, xs)
+    jac = mismatch_jacobian_batch(case, ybus, vm, va)
+    return -2.0 * np.einsum("bij,bi->bj", jac, f)
 
 
 def _ds_dv(y_c: np.ndarray, v: np.ndarray):
@@ -209,24 +247,7 @@ class KirchhoffPotential(ConstraintPotential):
         self.case = case
         self.ybus = ybus if ybus is not None else build_ybus(case)
         self.injections = injections if injections is not None else nominal_injections(case)
-
-    def _states(self, xs: np.ndarray):
-        case = self.case
-        m = xs.shape[0]
-        k = len(case.non_slack)
-        base = flat_start(case)
-        vm = np.tile(base.vm, (m, 1))
-        va = np.tile(base.va, (m, 1))
-        va[:, case.non_slack] = xs[:, :k]
-        vm[:, case.pq] = xs[:, k:]
-        return vm, va
-
-    def _residual_batch(self, xs: np.ndarray) -> np.ndarray:
-        vm, va = self._states(xs)
-        s = complex_power(self.ybus, vm, va)
-        dp = self.injections.p_spec[self.case.non_slack] - s.real[:, self.case.non_slack]
-        dq = self.injections.q_spec[self.case.pq] - s.imag[:, self.case.pq]
-        return np.concatenate([dp, dq], axis=1)
+        self.spec = injection_features(case, self.injections)
 
     def value(self, x) -> float:
         return float(self.value_batch(np.asarray(x, dtype=float)[None, :])[0])
@@ -235,19 +256,15 @@ class KirchhoffPotential(ConstraintPotential):
         return self.grad_batch(np.asarray(x, dtype=float)[None, :])[0]
 
     def value_batch(self, xs) -> np.ndarray:
-        f = self._residual_batch(np.asarray(xs, dtype=float))
+        f = grid_residual(self.case, self.ybus, xs, self.spec)
         return np.sum(f * f, axis=1)
 
     def grad_batch(self, xs) -> np.ndarray:
-        xs = np.asarray(xs, dtype=float)
-        f = self._residual_batch(xs)
-        vm, va = self._states(xs)
-        jac = mismatch_jacobian_batch(self.case, self.ybus, vm, va)
-        return -2.0 * np.einsum("bij,bi->bj", jac, f)
+        return grid_residual_grad(self.case, self.ybus, xs, self.spec)
 
     # Hooks for the linearized one-shot correction baseline.
     def residual(self, x) -> np.ndarray:
-        return self._residual_batch(np.asarray(x, dtype=float)[None, :])[0]
+        return grid_residual(self.case, self.ybus, np.asarray(x, dtype=float)[None], self.spec)[0]
 
     def residual_jacobian(self, x) -> np.ndarray:
         state = unpack_state(self.case, x)

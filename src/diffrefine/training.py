@@ -205,35 +205,43 @@ def train_network(
     y = np.asarray(y, dtype=float)
     if x.shape[0] != y.shape[0]:
         raise DimensionMismatchError("x and y must have matching row counts")
-    n = x.shape[0]
     rng = Rng(cfg.seed).fork("shuffle")
     opt = Adam(net.param_count(), cfg.lr, cfg.beta1, cfg.beta2, cfg.adam_eps)
     grads = np.empty_like(net.params)
     history = []
     for epoch in range(cfg.epochs):
-        order = rng.permutation(n)
-        losses = []
-        for lo in range(0, n, cfg.batch_size):
-            idx = order[lo : lo + cfg.batch_size]
-            batch_cond = cond[idx] if cond is not None else None
-            loss, _, _ = backprop_grads(
-                net,
-                x[idx],
-                y[idx],
-                kind=cfg.loss,
-                cond=batch_cond,
-                pinn_penalty=pinn_penalty,
-                pinn_weight=cfg.pinn_weight,
-                row_ids=idx,
-                grads=grads,
-                input_grad=False,
+        history.append(
+            train_epoch(
+                net, opt, grads, rng.permutation(x.shape[0]), x, y, cfg.batch_size, cfg.loss,
+                epoch, cond=cond, pinn_penalty=pinn_penalty, pinn_weight=cfg.pinn_weight,
             )
-            if not np.isfinite(loss):
-                raise NonFiniteLossError(f"training loss became non-finite", epoch=epoch)
-            opt.step(net.params, grads)
-            losses.append(loss)
-        history.append(float(np.mean(losses)))
+        )
     return TrainResult(net=net, history=np.array(history))
+
+
+def train_epoch(
+    net, opt, grads, order, x, y, batch_size, kind, epoch, t=None, cond=None,
+    pinn_penalty=None, pinn_weight=0.0,
+) -> float:
+    """One Adam step per mini-batch of ``order``; returns the mean loss.
+
+    ``t`` and ``cond`` are per-row like ``x``; ``grads`` is the flat
+    gradient buffer.  Raises NonFiniteLossError (carrying ``epoch``) if
+    a batch loss leaves the reals.
+    """
+    losses = []
+    for lo in range(0, order.size, batch_size):
+        idx = order[lo : lo + batch_size]
+        loss, _, _ = backprop_grads(
+            net, x[idx], y[idx], kind, t=None if t is None else t[idx],
+            cond=None if cond is None else cond[idx], pinn_penalty=pinn_penalty,
+            pinn_weight=pinn_weight, row_ids=idx, grads=grads, input_grad=False,
+        )
+        if not np.isfinite(loss):
+            raise NonFiniteLossError("training loss became non-finite", epoch=epoch)
+        opt.step(net.params, grads)
+        losses.append(loss)
+    return float(np.mean(losses))
 
 
 def windowed_history(history: np.ndarray, window: int = 5) -> np.ndarray:

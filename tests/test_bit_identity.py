@@ -1,0 +1,148 @@
+"""Pinned outputs of the shared kernels.
+
+Each test hashes what one public entry point computes on small seeded
+inputs.  The hashes were recorded before the grid residual, the
+projected signed-gradient loop, the training epoch, the DDIM step and
+the row-chunk pool each got a single shared implementation, with numpy's
+bundled OpenBLAS on x86-64 (a BLAS built for other hardware may round
+matrix products differently).  A merge of two copies of a formula must
+leave every one of them unchanged.
+"""
+
+import hashlib
+
+import numpy as np
+import pytest
+
+from diffrefine.adversarial import (
+    AttackConfig,
+    cyclic_attack,
+    generate_tabular_dataset,
+    load_schema,
+    penalty_pgd_attack,
+    pgd_attack,
+    train_feasible_prior,
+    train_tabular_classifier,
+)
+from diffrefine.baselines import refine_power_batch, train_power_pinn, train_power_prior
+from diffrefine.diffusion import generate, make_schedule, train_noise_model
+from diffrefine.guidance import RefineConfig
+from diffrefine.numerics import Rng
+from diffrefine.powerflow import (
+    build_ybus,
+    generate_dataset,
+    injections_from_features,
+    kirchhoff_potential,
+    load_case,
+    peak_mismatches,
+)
+from diffrefine.training import TrainConfig
+
+
+def _sha256(*arrays) -> str:
+    h = hashlib.sha256()
+    for arr in arrays:
+        h.update(np.ascontiguousarray(arr, dtype=float).tobytes())
+    return h.hexdigest()
+
+
+@pytest.fixture(scope="module")
+def grid():
+    case = load_case("ieee14")
+    ds = generate_dataset(case, 48, 4, 8, seed=21)
+    rng = Rng(22)
+    predictions = ds.test.targets + 0.02 * rng.normal(ds.test.targets.shape)
+    return case, build_ybus(case), ds, predictions
+
+
+@pytest.fixture(scope="module")
+def grid_prior(grid):
+    case, _, ds, _ = grid
+    cfg = TrainConfig(epochs=3, batch_size=16, lr=1e-3, seed=23, loss="eps")
+    return train_power_prior(case, ds, make_schedule(20), cfg, hidden=(16, 16))
+
+
+@pytest.fixture(scope="module")
+def tabular():
+    pot = load_schema()
+    ds = generate_tabular_dataset(pot, 300, 40, 40, seed=31)
+    clf = train_tabular_classifier(
+        ds, TrainConfig(epochs=8, batch_size=64, lr=1e-2, seed=32, loss="bce"), hidden=(16, 16)
+    )
+    prior = train_feasible_prior(
+        ds, make_schedule(30, 1e-4, 0.03),
+        TrainConfig(epochs=3, batch_size=64, lr=1e-3, seed=33, loss="eps"), hidden=(16, 16),
+    )
+    cfg = AttackConfig(eps=0.3, step=0.075, k=3, cycles=2, tau=5, lam=1.0, seed=0)
+    return pot, ds.test.features[:4], ds.test.labels[:4], clf, prior, cfg
+
+
+PINN_SHA = "3f07378f081fe2640e7a033171c2e0696918e0b7a4451b2c606d8505de90047d"
+PEAK_MISMATCHES_SHA = "e4894d29b3e1a2f696c49bcecda034f8c2327b0440436176a67f5b39211f33e1"
+KIRCHHOFF_SHA = "b9d3065be37a6d97d012cf576a37e049285ddb98a303293f6888701b68589d50"
+GENERATE_SHA = "960519ce862f2f2e2481244100a2d2cca84098bf292caaede832950c17065a3b"
+REFINE_POWER_SHA = "223a7a9446675f56870032e066cb3f64712db2edaf321a5f6e51290e98767141"
+PGD_SHA = "1c25a4855823d757f97801390544c9696b14eb58fe636f8bcc9cae7d96155bac"
+PENALTY_SHA = "c59240cc947baa6e112e34ad203f1fc0d14210f08968ecbe328fcd02aa9cbdbc"
+CYCLIC_SHA = "39763bf9ddb5e6832b9d7408c4057f9fc671743a4b7ca8fa0bc129af1a228b25"
+
+
+def test_pinn_training(grid):
+    case, _, ds, _ = grid
+    cfg = TrainConfig(epochs=3, batch_size=16, lr=1e-3, seed=24, loss="pinn", pinn_weight=1.0)
+    model = train_power_pinn(case, ds, cfg, hidden=(16, 16))
+    assert _sha256(model.net.params, model.loss_history) == PINN_SHA
+
+
+def test_peak_mismatches(grid):
+    case, ybus, ds, predictions = grid
+    assert _sha256(*peak_mismatches(case, ybus, predictions, ds.test.features)) == PEAK_MISMATCHES_SHA
+
+
+def test_kirchhoff_value_and_gradient(grid):
+    case, ybus, ds, predictions = grid
+    pot = kirchhoff_potential(case, ybus, injections_from_features(case, ds.test.features[0]))
+    got = [pot.value_batch(predictions), pot.grad_batch(predictions), pot.residual(predictions[1])]
+    got += [pot.grad(predictions[2]), np.array([pot.value(predictions[3])])]
+    assert _sha256(*got) == KIRCHHOFF_SHA
+
+
+def test_generate():
+    rng = Rng(41)
+    data = rng.normal((60, 2))
+    cond = rng.normal((60, 3))
+    cfg = TrainConfig(epochs=3, batch_size=16, lr=1e-3, seed=42, loss="eps")
+    model = train_noise_model(data, make_schedule(20), cfg, conditions=cond, hidden=(16, 16), time_dim=8)
+    got = [
+        generate(model, 5, Rng(43), conditions=cond[:5]),
+        generate(model, 5, Rng(44), eta=0.5, conditions=cond[:5]),
+        generate(model, 5, Rng(45), mode="truncated", conditions=cond[:5]),
+    ]
+    assert _sha256(*got) == GENERATE_SHA
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_refine_power_batch(grid, grid_prior, workers):
+    case, ybus, ds, predictions = grid
+    cfg = RefineConfig(steps=6, start_step=6, lam=1e6)
+    out = refine_power_batch(
+        case, grid_prior, predictions, ds.test.features, cfg=cfg, ybus=ybus, workers=workers
+    )
+    assert _sha256(out) == REFINE_POWER_SHA
+
+
+def test_pgd_attack(tabular):
+    pot, x, y, clf, _, cfg = tabular
+    assert _sha256(pgd_attack(clf, x, y, cfg, pot)) == PGD_SHA
+
+
+def test_penalty_pgd_attack(tabular):
+    pot, x, y, clf, _, cfg = tabular
+    assert _sha256(penalty_pgd_attack(clf, x, y, cfg, pot, mu=2.0)) == PENALTY_SHA
+
+
+def test_cyclic_attack(tabular):
+    pot, x, y, clf, prior, cfg = tabular
+    adv, log = cyclic_attack(clf, x, y, cfg, pot, prior)
+    got = [adv] + log.phi_after_pgd + log.phi_after_refine + [np.array(log.projection_binding)]
+    assert _sha256(*got) == CYCLIC_SHA

@@ -209,6 +209,12 @@ class TestTrain:
         assert run_cli("train", "base", "--data", pf_data, "--config", cfg, "--out", out) == 0
         assert out.read_bytes() == pf_models[0].read_bytes()
 
+    def test_grid_eps_time_dim_takes_effect(self, workdir, pf_data, tmp_path):
+        cfg = write_json(tmp_path / "eps.json", {"epochs": 2, "time_dim": 4})
+        out = tmp_path / "eps.npz"
+        assert run_cli("train", "eps", "--data", pf_data, "--config", cfg, "--out", out) == 0
+        assert load_model(out).net.spec.time_dim == 4
+
     def test_missing_data_dir(self, tmp_path):
         assert run_cli("train", "base", "--data", tmp_path / "nope", "--out", tmp_path / "m") == 3
 
@@ -218,15 +224,31 @@ def _one_error_line(capsys, cls: str) -> None:
     assert len(lines) == 1 and lines[0].startswith(f"error\t{cls}\t"), lines
 
 
-def _corrupt_cell(src: Path, dst: Path, split: str) -> Path:
+def _corrupt_cell(src: Path, dst: Path, split: str, cell: str = "abc") -> Path:
     """Copy a dataset directory and overwrite the first cell of a split's
-    first data row with a word."""
+    first data row with ``cell``."""
     shutil.copytree(src, dst)
     path = dst / f"{split}.tsv"
     lines = path.read_text().split("\n")
-    lines[1] = "\t".join(["abc"] + lines[1].split("\t")[1:])
+    lines[1] = "\t".join([cell] + lines[1].split("\t")[1:])
     path.write_text("\n".join(lines))
     return dst
+
+
+def _model_parts(path: Path):
+    """A model file's JSON header and its arrays."""
+    with np.load(path) as archive:
+        arrays = {k: archive[k] for k in archive.files}
+    return json.loads(bytes(arrays.pop("header")).decode()), arrays
+
+
+def _write_model(path: Path, header: dict, arrays: dict) -> Path:
+    np.savez(path, header=np.frombuffer(json.dumps(header).encode(), dtype=np.uint8), **arrays)
+    return path
+
+
+def _refine_with(model: Path, eps: Path, data: Path, tmp_path: Path) -> int:
+    return run_cli("refine", "--model", model, "--eps", eps, "--data", data, "--out", tmp_path / "r")
 
 
 class TestMalformedInputs:
@@ -248,6 +270,50 @@ class TestMalformedInputs:
             "--out", tmp_path / "r",
         )
         assert code == 3
+        _one_error_line(capsys, "DataError")
+
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            {"drop": "spec"}, {"drop": "kind"}, {"drop": "seed"},
+            {"spec": "abc"}, {"spec": {"x_dim": 4}}, {"spec": {"x_dim": -1, "hidden": [], "out_dim": 1}},
+            {"kind": 7}, {"seed": "one"}, {"seed": None},
+        ],
+        ids=lambda e: json.dumps(e),
+    )
+    def test_malformed_model_header_fields(self, pf_data, pf_models, tmp_path, capsys, edit):
+        header, arrays = _model_parts(pf_models[0])
+        header.pop(edit.pop("drop", None), None)
+        header.update(edit)
+        bad = _write_model(tmp_path / "bad.npz", header, arrays)
+        assert _refine_with(bad, pf_models[1], pf_data, tmp_path) == 3
+        _one_error_line(capsys, "DataError")
+
+    @pytest.mark.parametrize("name", ["params", "x_mean", "x_std", "y_mean", "y_std"])
+    def test_model_missing_array(self, pf_data, pf_models, tmp_path, capsys, name):
+        header, arrays = _model_parts(pf_models[0])
+        del arrays[name]
+        bad = _write_model(tmp_path / "bad.npz", header, arrays)
+        assert _refine_with(bad, pf_models[1], pf_data, tmp_path) == 3
+        _one_error_line(capsys, "DataError")
+
+    def test_model_params_do_not_fit_spec(self, pf_data, pf_models, tmp_path, capsys):
+        header, arrays = _model_parts(pf_models[0])
+        arrays["params"] = arrays["params"][:-1]
+        bad = _write_model(tmp_path / "bad.npz", header, arrays)
+        assert _refine_with(bad, pf_models[1], pf_data, tmp_path) == 3
+        _one_error_line(capsys, "DataError")
+
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-inf"])
+    def test_non_finite_pf_cell(self, pf_data, tmp_path, capsys, cell):
+        data = _corrupt_cell(pf_data, tmp_path / "pf", "train", cell)
+        assert run_cli("train", "eps", "--data", data, "--out", tmp_path / "m") == 3
+        _one_error_line(capsys, "DataError")
+
+    @pytest.mark.parametrize("cell", ["nan", "inf"])
+    def test_non_finite_tabular_cell(self, tab_data, tmp_path, capsys, cell):
+        data = _corrupt_cell(tab_data, tmp_path / "tab", "val", cell)
+        assert run_cli("train", "classifier", "--data", data, "--out", tmp_path / "m") == 3
         _one_error_line(capsys, "DataError")
 
     @pytest.mark.parametrize(

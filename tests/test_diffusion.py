@@ -15,7 +15,7 @@ from diffrefine.diffusion import (
     model_schedule,
     train_noise_model,
 )
-from diffrefine.errors import ConfigError, DegenerateAlphaError
+from diffrefine.errors import ConfigError, DegenerateAlphaError, NonFiniteLossError
 from diffrefine.numerics import Rng
 from diffrefine.training import TrainConfig
 
@@ -165,6 +165,13 @@ class TestNoiseModel:
         a = train_noise_model(data, s, cfg, hidden=(16,), time_dim=8)
         b = train_noise_model(data, s, cfg, hidden=(16,), time_dim=8)
         assert np.array_equal(a.net.get_params(), b.net.get_params())
+
+    def test_nan_in_data_raises(self):
+        data = Rng(22).normal((40, 2))
+        data[3, 1] = np.nan
+        cfg = TrainConfig(epochs=2, batch_size=16, lr=1e-3, seed=9, loss="eps")
+        with pytest.raises(NonFiniteLossError):
+            train_noise_model(data, make_schedule(20), cfg, hidden=(8,), time_dim=4)
 
     def test_generate_matches_mixture_mean(self):
         # Two Gaussian clusters; generated samples must land near the

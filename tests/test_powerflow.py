@@ -24,6 +24,7 @@ from diffrefine.powerflow import (
     build_ybus,
     evaluate,
     generate_dataset,
+    grid_residual,
     injections_from_features,
     kirchhoff_potential,
     load_case,
@@ -319,6 +320,36 @@ class TestKirchhoffPotential:
             g = pot.grad(xs[i])
             # batch einsum and single matmul differ only in summation order
             assert np.abs(grads[i] - g).max() < 1e-11 * max(1.0, np.abs(g).max())
+
+
+class TestGridResidual:
+    @pytest.mark.parametrize("name", ["ieee14", "ieee30"])
+    def test_matches_mismatch_vector_row_by_row(self, name, request):
+        case = request.getfixturevalue(name)
+        ybus = build_ybus(case)
+        ds = generate_dataset(case, 0, 0, 6, seed=8)
+        xs = ds.test.targets + 0.05 * Rng(9).normal(ds.test.targets.shape)
+        feats = ds.test.features
+        rows = []
+        for x, f in zip(xs, feats):
+            inj = injections_from_features(case, f)
+            rows.append(mismatch_vector(case, ybus, x, inj))
+            dp, dq = mismatch(case, ybus, unpack_state(case, x), inj)
+            assert np.array_equal(rows[-1], np.concatenate([dp, dq]))
+            assert np.array_equal(grid_residual(case, ybus, x[None, :], f[None, :])[0], rows[-1])
+        # One spec row per state, all states at once: BLAS rounds the rows
+        # of a many-row product differently from a one-row product.
+        batch = grid_residual(case, ybus, xs, feats)
+        assert np.abs(batch - np.array(rows)).max() < 1e-13
+
+    def test_shared_spec_row_broadcasts(self, ieee14):
+        ybus = build_ybus(ieee14)
+        xs = pack_state(ieee14, flat_start(ieee14))[None, :] + 0.03 * Rng(10).normal(
+            (5, ieee14.n_unknowns)
+        )
+        spec = Rng(11).normal(ieee14.n_unknowns)
+        shared = grid_residual(ieee14, ybus, xs, spec)
+        assert np.array_equal(shared, grid_residual(ieee14, ybus, xs, np.tile(spec, (5, 1))))
 
 
 class TestGaussNewtonEquivalence:
