@@ -191,22 +191,27 @@ def _write_split_tsv(path: Path, split: TabularSplit, names) -> None:
 
 
 def _read_split_tsv(path: Path, names) -> TabularSplit:
-    with open(path, "r", encoding="utf-8") as fh:
-        header = fh.readline().rstrip("\n").split("\t")
-        if header != list(names) + ["label"]:
-            raise DataError(f"unexpected columns in {path}")
-        feats, labs = [], []
-        for lineno, line in enumerate(fh, start=2):
-            parts = line.rstrip("\n").split("\t")
-            if len(parts) != len(header):
-                raise DataError(f"{path.name} line {lineno}: row width does not match header")
-            try:
-                feats.append([float(v) for v in parts[:-1]])
-                labs.append(int(parts[-1]))
-            except ValueError as exc:
-                raise DataError(f"{path.name} line {lineno}: non-numeric cell: {exc}") from exc
-            if not np.all(np.isfinite(feats[-1])):
-                raise DataError(f"{path.name} line {lineno}: non-finite feature value")
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            header = fh.readline().rstrip("\n").split("\t")
+            rows = [line.rstrip("\n").split("\t") for line in fh]
+    except OSError as exc:
+        raise DataError(f"cannot read {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{path.name}: not UTF-8 text: {exc}") from exc
+    if header != list(names) + ["label"]:
+        raise DataError(f"unexpected columns in {path}")
+    feats, labs = [], []
+    for lineno, parts in enumerate(rows, start=2):
+        if len(parts) != len(header):
+            raise DataError(f"{path.name} line {lineno}: row width does not match header")
+        try:
+            feats.append([float(v) for v in parts[:-1]])
+            labs.append(int(parts[-1]))
+        except ValueError as exc:
+            raise DataError(f"{path.name} line {lineno}: non-numeric cell: {exc}") from exc
+        if not np.all(np.isfinite(feats[-1])):
+            raise DataError(f"{path.name} line {lineno}: non-finite feature value")
     return TabularSplit(features=np.array(feats), labels=np.array(labs, dtype=int))
 
 

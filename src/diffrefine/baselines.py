@@ -14,12 +14,13 @@ from __future__ import annotations
 import functools
 import importlib.resources
 import json
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import ConfigError, SingularHessianError, SingularMatrixError
-from .guidance import RefineConfig, refine
+from .guidance import RefineConfig, Trajectory, refine
 from .model_store import TrainedModel
 from .numerics import as_vector, finite_diff_jacobian, map_row_chunks, require_finite, solve_linear
 from .potentials import ConstraintPotential, locate_stationary_points
@@ -69,56 +70,71 @@ def gradient_descent(
     budget runs out, or no amount of halving produces descent.  A
     non-finite gradient or value ends the run with the trajectory
     collected so far instead of raising.
+
+    The loop runs on Python floats.  A potential with ``value_and_grad``
+    yields the value and gradient of each trial point from one
+    evaluation; any other is asked for values at trial points and for
+    the gradient once a point is accepted.
     """
     if step < 0:
         raise ConfigError(f"step must be >= 0, got {step}")
     x = as_vector(x0, "x0")
     require_finite(x, "x0")
-    points = [x.copy()]
-    phis = [float(pot.value(x))]
+    evaluate = getattr(pot, "value_and_grad", None) or _value_only(pot)
+    x = x.tolist()
+    phi, g = evaluate(x)
+    points = [x]
+    phis = [phi]
     converged = False
     backtracks = 0
-    k = 0
     if step == 0:
         iters = 0
-    while k < iters:
-        g = np.asarray(pot.grad(x), dtype=float)
-        if not np.all(np.isfinite(g)):
-            break
-        if float(np.linalg.norm(g)) < tol:
+    while True:
+        if g is None or not _all_finite(g):
+            # pot.grad decides at a non-finite point, raising where it raises
+            g = np.asarray(pot.grad(np.array(x)), dtype=float).tolist()
+            if not _all_finite(g):
+                break
+        ga = np.array(g)
+        if math.sqrt(ga.dot(ga)) < tol:  # the same bits as np.linalg.norm
             converged = True
             break
+        if len(points) > iters:
+            break
         s = step
-        phi_here = phis[-1]
-        trial = x - s * g
-        with np.errstate(over="ignore", invalid="ignore"):
-            phi_trial = float(pot.value(trial))
-        halvings = 0
-        while (not np.isfinite(phi_trial) or phi_trial > phi_here) and halvings < max_backtracks:
+        for halvings in range(max_backtracks + 1):
+            trial = [xi - s * gi for xi, gi in zip(x, g)]
+            phi_trial, g_trial = evaluate(trial)
+            if math.isfinite(phi_trial) and not phi_trial > phi:
+                break
             s *= 0.5
-            halvings += 1
-            trial = x - s * g
-            with np.errstate(over="ignore", invalid="ignore"):
-                phi_trial = float(pot.value(trial))
-        backtracks += halvings
-        if not np.isfinite(phi_trial) or phi_trial > phi_here:
+        else:
+            backtracks += max_backtracks
             break  # no descent available at any step size
-        x = trial
-        points.append(x.copy())
-        phis.append(phi_trial)
-        k += 1
-    else:
-        # budget exhausted; report whether the endpoint is stationary
-        g = np.asarray(pot.grad(x), dtype=float)
-        converged = bool(np.all(np.isfinite(g)) and np.linalg.norm(g) < tol)
+        backtracks += halvings
+        x, phi, g = trial, phi_trial, g_trial
+        points.append(x)
+        phis.append(phi)
     return DescentResult(
-        x=x,
+        x=np.array(x),
         points=np.array(points),
         phis=np.array(phis),
         converged=converged,
         iterations=len(points) - 1,
         backtracks=backtracks,
     )
+
+
+def _value_only(pot: ConstraintPotential):
+    def evaluate(x):
+        with np.errstate(over="ignore", invalid="ignore"):
+            return float(pot.value(np.array(x))), None
+
+    return evaluate
+
+
+def _all_finite(g: list) -> bool:
+    return all(map(math.isfinite, g))
 
 
 def _fd_hessian(pot: ConstraintPotential, x: np.ndarray, h: float) -> np.ndarray:
@@ -289,7 +305,12 @@ class ComparisonRow:
     label: str
     steps: int
     saddle: bool
-    trajectory_lines: list = field(default_factory=list, repr=False)
+    trajectory: DescentResult | Trajectory = field(repr=False)
+
+    @property
+    def trajectory_lines(self) -> list:
+        """The run's per-step lines, formatted only when read."""
+        return self.trajectory.to_lines()
 
 
 @dataclass
@@ -341,17 +362,15 @@ def trajectory_comparison(
         for method in methods:
             saddle = False
             if method == "gd":
-                res = gradient_descent(pot, start, step=gd_step, iters=gd_iters, tol=tol)
-                x_final, steps, lines = res.x, res.iterations, res.to_lines()
+                run = gradient_descent(pot, start, step=gd_step, iters=gd_iters, tol=tol)
+                x_final, steps = run.x, run.iterations
             elif method == "nr":
-                res = newton_raphson_scalar(pot, start, iters=nr_iters, tol=tol)
-                x_final, steps, lines = res.x, res.iterations, res.to_lines()
-                saddle = res.saddle
+                run = newton_raphson_scalar(pot, start, iters=nr_iters, tol=tol)
+                x_final, steps, saddle = run.x, run.iterations, run.saddle
             else:
                 out = refine(start, pot, model, refine_cfg)
-                x_final = out.x
-                steps = len(out.trajectory.steps)
-                lines = out.trajectory.to_lines()
+                run = out.trajectory
+                x_final, steps = out.x, len(run.steps)
             phi_final = float(pot.value(x_final)) if np.all(np.isfinite(x_final)) else float("inf")
             table.rows.append(
                 ComparisonRow(
@@ -362,7 +381,7 @@ def trajectory_comparison(
                     label=label_point(x_final, anchors, radius=radius),
                     steps=steps,
                     saddle=saddle,
-                    trajectory_lines=lines,
+                    trajectory=run,
                 )
             )
     return table

@@ -129,12 +129,14 @@ def ddim_step(
     mode: str = "standard",
     rng: Rng | None = None,
     t_prev: int | None = None,
+    x0_hat=None,
 ) -> np.ndarray:
     """One reverse transition t -> t_prev (default t - 1).
 
     eta = 0 is fully deterministic; eta > 0 requires an rng for the
     fresh noise draw.  t_prev may skip levels, which is how a short
-    trajectory covers the whole schedule.
+    trajectory covers the whole schedule.  A caller that already holds
+    ``estimate_x0(x_t, t, eps_hat, schedule)`` passes it as ``x0_hat``.
     """
     if mode not in DDIM_MODES:
         raise ConfigError(f"unknown mode {mode!r}; expected one of {DDIM_MODES}")
@@ -146,7 +148,8 @@ def ddim_step(
         raise ConfigError(f"invalid transition {t} -> {t_prev}")
     x_t = np.asarray(x_t, dtype=float)
     eps_hat = np.asarray(eps_hat, dtype=float)
-    x0_hat = estimate_x0(x_t, t, eps_hat, schedule)
+    if x0_hat is None:
+        x0_hat = estimate_x0(x_t, t, eps_hat, schedule)
     ab_p = schedule.alpha_bar(t_prev)
     sig = schedule.sigma(t, eta, t_prev) if eta > 0.0 else 0.0
     out = np.sqrt(ab_p) * x0_hat

@@ -185,7 +185,9 @@ def guided_step(
         t_prev = t - 1
     x_t = as_vector(x_t, "x_t")
     x0_hat = estimate_x0(x_t, t, eps_hat, schedule)
-    x_prev = ddim_step(x_t, t, eps_hat, schedule, eta=cfg.eta, mode=cfg.mode, rng=rng, t_prev=t_prev)
+    x_prev = ddim_step(
+        x_t, t, eps_hat, schedule, eta=cfg.eta, mode=cfg.mode, rng=rng, t_prev=t_prev, x0_hat=x0_hat
+    )
     r = x0_hat - x_prev
     dist = float(np.linalg.norm(r))
     phi = float(pot.value(x_prev))

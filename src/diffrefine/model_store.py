@@ -9,6 +9,7 @@ round-trip bit-exactly.
 from __future__ import annotations
 
 import json
+import zipfile
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -77,9 +78,12 @@ def save_model(path, model: TrainedModel) -> None:
 
 def load_model(path) -> TrainedModel:
     try:
-        with np.load(path) as archive:
+        archive = np.load(path)
+        if not isinstance(archive, np.lib.npyio.NpzFile):
+            raise DataError(f"model file {path} is not an .npz archive")
+        with archive:
             data = {k: archive[k] for k in archive.files}
-    except (OSError, ValueError) as exc:
+    except (OSError, ValueError, EOFError, zipfile.BadZipFile) as exc:
         raise DataError(f"cannot read model file {path}: {exc}") from exc
     if "header" not in data:
         raise DataError(f"model file {path} has no header")
@@ -109,6 +113,16 @@ def load_model(path) -> TrainedModel:
             extra[k] = data[f"extra_{k}"]
     except (KeyError, TypeError, ValueError, OverflowError, ConfigError, DimensionMismatchError) as exc:
         raise DataError(f"model file {path} is malformed: {exc!r}") from exc
+    spec = net.spec
+    # A noise model's x_norm scales its condition; every other kind's, its input.
+    x_len = spec.cond_dim if kind == "noise" else spec.x_dim
+    for name, length in (("params", net.param_count()), ("x_mean", x_len), ("x_std", x_len),
+                         ("y_mean", spec.out_dim), ("y_std", spec.out_dim)):
+        if data[name].shape != (length,):
+            raise DataError(
+                f"model file {path} has {name} of shape {data[name].shape}, "
+                f"but its spec needs ({length},)"
+            )
     return TrainedModel(
         kind=kind,
         net=net,

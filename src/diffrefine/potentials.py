@@ -36,7 +36,10 @@ class ConstraintPotential:
 
     Subclasses set ``dim`` and implement ``value`` and ``grad``; the
     batch variants fall back to a row loop unless overridden with a
-    vectorized path.
+    vectorized path.  A subclass that gets both from one evaluation may
+    add ``value_and_grad(x) -> (value, gradient as a list of floats)``,
+    which must not raise on a non-finite gradient; ``gradient_descent``
+    then calls it at every trial point.
     """
 
     dim: int = 0
@@ -140,80 +143,78 @@ class MullerBrownParams:
 WORKING_BOX = np.array([[-1.8, 1.2], [-0.5, 2.2]])
 
 
+def _exp_point(arg: float) -> float:
+    if abs(arg) > EXP_CLAMP:
+        # Attributed to the caller of surface_value, surface_grad or value_and_grad.
+        warnings.warn("surface exponent clamped", RuntimeWarning, stacklevel=4)
+        arg = EXP_CLAMP if arg > 0.0 else -EXP_CLAMP
+    return float(np.exp(arg))
+
+
+def _exp_batch(arg: np.ndarray) -> np.ndarray:
+    return np.exp(np.clip(arg, -EXP_CLAMP, EXP_CLAMP))
+
+
 class MullerBrown:
-    """Raw surface evaluation: four exponential terms over the plane."""
+    """Raw surface evaluation: four exponential terms over the plane.
+
+    One kernel, ``evaluate``, serves every entry point: each term's
+    exponential is computed once and feeds the value and both gradient
+    components.  A single point runs on Python floats
+    (``float(np.exp(arg))`` rounds exactly as the array path does;
+    ``math.exp`` does not) and warns when it clamps an exponent; the
+    batch path clamps silently.
+    """
 
     def __init__(self, params: MullerBrownParams | None = None):
         self.params = params or MullerBrownParams()
-
-    def _terms(self, x, y):
         p = self.params
-        ex = []
-        for i in range(4):
-            dx = x - p.centers_x[i]
-            dy = y - p.centers_y[i]
-            arg = p.curv_a[i] * dx * dx + p.curv_b[i] * dx * dy + p.curv_c[i] * dy * dy
-            ex.append((dx, dy, arg))
-        return ex
+        # Doubling is exact, so 2a and 2c round as 2.0 * a and 2.0 * c.
+        self._terms = tuple(
+            (depth, a, b, c, 2.0 * a, 2.0 * c, cx, cy)
+            for depth, a, b, c, cx, cy in zip(
+                p.depths, p.curv_a, p.curv_b, p.curv_c, p.centers_x, p.centers_y
+            )
+        )
+
+    def evaluate(self, x, y, exp=_exp_point, grad: bool = True):
+        """(value, d/dx, d/dy) at Python floats x, y, or at arrays with
+        ``exp=_exp_batch``.  A non-finite gradient is returned, not
+        raised; the gradient components stay 0.0 with ``grad`` off."""
+        v = gx = gy = 0.0
+        for depth, a, b, c, a2, c2, cx, cy in self._terms:
+            dx = x - cx
+            dy = y - cy
+            e = depth * exp(a * dx * dx + b * dx * dy + c * dy * dy)
+            v += e
+            if grad:
+                gx += e * (a2 * dx + b * dy)
+                gy += e * (b * dx + c2 * dy)
+        return v, gx, gy
 
     def surface_value(self, point) -> float:
         point = as_vector(point, "point")
-        x, y = float(point[0]), float(point[1])
-        p = self.params
-        total = 0.0
-        for i, (_, _, arg) in enumerate(self._terms(x, y)):
-            if abs(arg) > EXP_CLAMP:
-                warnings.warn("surface exponent clamped", RuntimeWarning, stacklevel=2)
-                arg = np.clip(arg, -EXP_CLAMP, EXP_CLAMP)
-            total += p.depths[i] * np.exp(arg)
-        return float(total)
+        return self.evaluate(float(point[0]), float(point[1]))[0]
 
     def surface_grad(self, point) -> np.ndarray:
         point = as_vector(point, "point")
-        x, y = float(point[0]), float(point[1])
-        p = self.params
-        gx = 0.0
-        gy = 0.0
-        for i, (dx, dy, arg) in enumerate(self._terms(x, y)):
-            if abs(arg) > EXP_CLAMP:
-                warnings.warn("surface exponent clamped", RuntimeWarning, stacklevel=2)
-                arg = np.clip(arg, -EXP_CLAMP, EXP_CLAMP)
-            e = p.depths[i] * np.exp(arg)
-            gx += e * (2.0 * p.curv_a[i] * dx + p.curv_b[i] * dy)
-            gy += e * (p.curv_b[i] * dx + 2.0 * p.curv_c[i] * dy)
-        g = np.array([gx, gy])
-        if not np.all(np.isfinite(g)):
-            raise NonFiniteGradientError(f"surface gradient non-finite at {point}")
-        return g
+        _, gx, gy = self.evaluate(float(point[0]), float(point[1]))
+        return _finite_grad(np.array([gx, gy]), point)
 
     def surface_value_batch(self, points) -> np.ndarray:
         pts = np.asarray(points, dtype=float)
-        x = pts[..., 0]
-        y = pts[..., 1]
-        p = self.params
-        total = np.zeros_like(x)
-        for i in range(4):
-            dx = x - p.centers_x[i]
-            dy = y - p.centers_y[i]
-            arg = p.curv_a[i] * dx * dx + p.curv_b[i] * dx * dy + p.curv_c[i] * dy * dy
-            total += p.depths[i] * np.exp(np.clip(arg, -EXP_CLAMP, EXP_CLAMP))
-        return total
+        return self.evaluate(pts[..., 0], pts[..., 1], _exp_batch, grad=False)[0]
 
     def surface_grad_batch(self, points) -> np.ndarray:
         pts = np.asarray(points, dtype=float)
-        x = pts[..., 0]
-        y = pts[..., 1]
-        p = self.params
-        gx = np.zeros_like(x)
-        gy = np.zeros_like(y)
-        for i in range(4):
-            dx = x - p.centers_x[i]
-            dy = y - p.centers_y[i]
-            arg = p.curv_a[i] * dx * dx + p.curv_b[i] * dx * dy + p.curv_c[i] * dy * dy
-            e = p.depths[i] * np.exp(np.clip(arg, -EXP_CLAMP, EXP_CLAMP))
-            gx += e * (2.0 * p.curv_a[i] * dx + p.curv_b[i] * dy)
-            gy += e * (p.curv_b[i] * dx + 2.0 * p.curv_c[i] * dy)
+        _, gx, gy = self.evaluate(pts[..., 0], pts[..., 1], _exp_batch)
         return np.stack([gx, gy], axis=-1)
+
+
+def _finite_grad(g: np.ndarray, point) -> np.ndarray:
+    if not np.all(np.isfinite(g)):
+        raise NonFiniteGradientError(f"surface gradient non-finite at {point}")
+    return g
 
 
 @dataclass(frozen=True)
@@ -355,17 +356,29 @@ class MullerBrownPotential(ConstraintPotential):
         return max(self.surface.surface_value(x) - self.zero_level, 0.0)
 
     def grad(self, x) -> np.ndarray:
-        if self.surface.surface_value(x) - self.zero_level <= 0.0:
-            return np.zeros(2)
-        return self.surface.surface_grad(x)
+        x = as_vector(x, "point")
+        return _finite_grad(np.array(self.value_and_grad(x)[1]), x)
+
+    def value_and_grad(self, x):
+        """(value, gradient as a list of floats) from one surface evaluation.
+
+        The gradient is zero wherever the value is clamped at zero.
+        Unlike ``grad``, a non-finite gradient is returned, not raised,
+        so a caller may probe points it then rejects.
+        """
+        v, gx, gy = self.surface.evaluate(float(x[0]), float(x[1]))
+        v -= self.zero_level
+        if v <= 0.0:
+            return max(v, 0.0), [0.0, 0.0]
+        return v, [gx, gy]
 
     def value_batch(self, xs) -> np.ndarray:
         return np.maximum(self.surface.surface_value_batch(xs) - self.zero_level, 0.0)
 
     def grad_batch(self, xs) -> np.ndarray:
-        raw = self.surface.surface_grad_batch(xs)
-        active = self.surface.surface_value_batch(xs) - self.zero_level > 0.0
-        return raw * active[:, None]
+        pts = np.asarray(xs, dtype=float)
+        v, gx, gy = self.surface.evaluate(pts[..., 0], pts[..., 1], _exp_batch)
+        return np.stack([gx, gy], axis=-1) * (v - self.zero_level > 0.0)[:, None]
 
 
 def muller_brown_potential(

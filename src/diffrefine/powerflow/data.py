@@ -148,9 +148,14 @@ def _write_tsv(path: Path, names: list, features: np.ndarray, targets: np.ndarra
 
 
 def _read_tsv(path: Path, n_features: int):
-    with path.open() as fh:
-        header = fh.readline().rstrip("\n").split("\t")
-        rows = [line.rstrip("\n").split("\t") for line in fh if line.strip()]
+    try:
+        with path.open(encoding="utf-8") as fh:
+            header = fh.readline().rstrip("\n").split("\t")
+            rows = [line.rstrip("\n").split("\t") for line in fh if line.strip()]
+    except OSError as exc:
+        raise DataError(f"cannot read {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{path.name}: not UTF-8 text: {exc}") from exc
     if any(len(row) != len(header) for row in rows):
         raise DataError(f"{path.name}: row width does not match header")
     try:

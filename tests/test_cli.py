@@ -5,16 +5,29 @@ values and output is captured with capsys.  Heavy artifacts (datasets,
 trained models) build once per module in a shared tmp directory.
 """
 
+import contextlib
+import io
 import json
+import math
 import shutil
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from diffrefine.cli import derive_seed, main
+from diffrefine.cli import (
+    GEN_PF_DEFAULTS,
+    GEN_TABULAR_DEFAULTS,
+    TRAIN_DEFAULTS,
+    derive_seed,
+    main,
+    refine_defaults,
+)
 from diffrefine.model_store import load_model
 
 
@@ -304,6 +317,20 @@ class TestMalformedInputs:
         assert _refine_with(bad, pf_models[1], pf_data, tmp_path) == 3
         _one_error_line(capsys, "DataError")
 
+    @pytest.mark.parametrize("which", [0, 1], ids=["base", "eps"])
+    @pytest.mark.parametrize("name", ["x_mean", "x_std", "y_mean", "y_std"])
+    @pytest.mark.parametrize("fix", ["drop", "add"])
+    def test_model_normalizer_does_not_fit_spec(
+        self, pf_data, pf_models, tmp_path, capsys, which, name, fix
+    ):
+        header, arrays = _model_parts(pf_models[which])
+        arr = arrays[name]
+        arrays[name] = arr[:-1] if fix == "drop" else np.append(arr, 1.0)
+        models = list(pf_models)
+        models[which] = _write_model(tmp_path / "bad.npz", header, arrays)
+        assert _refine_with(models[0], models[1], pf_data, tmp_path) == 3
+        _one_error_line(capsys, "DataError")
+
     @pytest.mark.parametrize("cell", ["nan", "inf", "-inf"])
     def test_non_finite_pf_cell(self, pf_data, tmp_path, capsys, cell):
         data = _corrupt_cell(pf_data, tmp_path / "pf", "train", cell)
@@ -335,6 +362,193 @@ class TestMalformedInputs:
                        "--out", tmp_path / "m")
         assert code == 2
         _one_error_line(capsys, "ConfigError")
+
+
+# Hypothesis drafts of malformed inputs.  Each draft is malformed by
+# construction, so a command that accepts it has a validation gap.
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False, allow_infinity=False)
+    | st.text(max_size=5),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=5), inner, max_size=3),
+    max_leaves=5,
+)
+# Cell text: no line breaks (a file read splits lines on them), and never
+# a finite number.
+CELL_CHARS = st.characters(
+    blacklist_categories=("Cs",), blacklist_characters="\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"
+)
+
+
+def _finite_number(text: str) -> bool:
+    try:
+        return math.isfinite(float(text))
+    except ValueError:
+        return False
+
+
+def _not_json(text: str) -> bool:
+    try:
+        json.loads(text)
+    except ValueError:
+        return True
+    return False
+
+
+def _quiet_cli(*argv):
+    """Exit code and stderr lines of one in-process run."""
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+        code = run_cli(*argv)
+    return code, err.getvalue().strip().split("\n")
+
+
+def _assert_one_error(code, lines, want_code, cls):
+    assert code == want_code, lines
+    assert len(lines) == 1 and lines[0].startswith(f"error\t{cls}\t"), lines
+
+
+def _draw_bad_config(data, defaults: dict) -> str:
+    form = data.draw(st.sampled_from(["text", "not-object", "unknown-key", "wrong-type"]))
+    if form == "text":
+        return data.draw(st.text(max_size=20).filter(_not_json))
+    if form == "not-object":
+        return json.dumps(data.draw(JSON_VALUES.filter(lambda v: not isinstance(v, dict))))
+    if form == "unknown-key":
+        key = data.draw(st.text(max_size=8).filter(lambda k: k not in defaults))
+        return json.dumps({key: data.draw(JSON_VALUES)})
+    key = data.draw(st.sampled_from(sorted(defaults)))
+    # A string never stands for a number, list, object or null, and a
+    # number never for a string.
+    wrong = st.integers() if isinstance(defaults[key], str) else st.text(max_size=5)
+    return json.dumps({key: data.draw(wrong)})
+
+
+def _damage_tsv(data, path: Path) -> None:
+    lines = path.read_text().split("\n")
+    form = data.draw(
+        st.sampled_from(["cell", "drop", "extra", "header", "bytes", "empty", "missing"])
+    )
+    if form == "missing":
+        path.unlink()
+        return
+    if form == "empty":
+        path.write_text("")
+        return
+    if form == "bytes":
+        raw = path.read_bytes()
+        at = data.draw(st.integers(0, len(raw)))
+        path.write_bytes(raw[:at] + data.draw(st.sampled_from([b"\xff", b"\xc3\x28", b"\x80\x80"])) + raw[at:])
+        return
+    row = data.draw(st.integers(0 if form == "header" else 1, len(lines) - 2))
+    cells = lines[row].split("\t")
+    col = data.draw(st.integers(0, len(cells) - 1))
+    if form == "cell":
+        cells[col] = data.draw(st.text(CELL_CHARS, max_size=6).filter(lambda s: not _finite_number(s)))
+    elif form == "drop":
+        del cells[col]
+    elif form == "extra":
+        cells.insert(col, "0.5")
+    else:
+        cells[col] = cells[col] + data.draw(st.text(CELL_CHARS, min_size=1, max_size=4))
+    lines[row] = "\t".join(cells)
+    path.write_text("\n".join(lines))
+
+
+def _damage_model(data, src: Path, dst: Path) -> None:
+    form = data.draw(st.sampled_from(["bytes", "truncate", "npy", "header", "array"]))
+    if form == "bytes":
+        dst.write_bytes(data.draw(st.binary(max_size=64)))
+        return
+    if form == "truncate":
+        raw = src.read_bytes()
+        dst.write_bytes(raw[: data.draw(st.integers(0, len(raw) - 1))])
+        return
+    if form == "npy":
+        with dst.open("wb") as fh:
+            np.save(fh, np.zeros(data.draw(st.integers(0, 4))))
+        return
+    header, arrays = _model_parts(src)
+    if form == "header":
+        key = data.draw(st.sampled_from(["format_version", "kind", "spec", "seed"]))
+        if data.draw(st.booleans()):
+            del header[key]
+        elif key == "format_version":
+            header[key] = data.draw(JSON_VALUES.filter(lambda v: v != 1))
+        elif key == "kind":
+            header[key] = data.draw(st.integers() | st.lists(st.integers(), max_size=2))
+        elif key == "spec":
+            header[key] = data.draw(st.integers() | st.text(max_size=5) | st.lists(st.integers(), max_size=2))
+        else:
+            header[key] = data.draw(
+                st.text("abcxyz", min_size=1, max_size=4) | st.lists(st.integers(), max_size=2)
+            )
+    else:
+        name = data.draw(st.sampled_from(["params", "x_mean", "x_std", "y_mean", "y_std"]))
+        change = data.draw(st.sampled_from(["drop", "shorter", "longer", "row"]))
+        if change == "drop":
+            del arrays[name]
+        elif change == "shorter":
+            arrays[name] = arrays[name][: data.draw(st.integers(0, arrays[name].size - 1))]
+        elif change == "longer":
+            arrays[name] = np.concatenate([arrays[name], np.ones(data.draw(st.integers(1, 3)))])
+        else:
+            arrays[name] = arrays[name][None, :]
+    _write_model(dst, header, arrays)
+
+
+class TestMalformedInputsFuzzed:
+    """Malformed config JSON, dataset TSVs and model files through main():
+    exactly one error line, the documented exit code, never a traceback."""
+
+    @settings(max_examples=40)
+    @given(data=st.data())
+    def test_config(self, pf_data, pf_models, data):
+        command = data.draw(st.sampled_from(["gen-pf", "gen-tabular", "train-base", "refine"]))
+        with tempfile.TemporaryDirectory() as tmp:
+            tmp = Path(tmp)
+            out = tmp / "out"
+            if command == "gen-pf":
+                defaults, argv = GEN_PF_DEFAULTS, ["gen-data", "pf", "--out", out]
+            elif command == "gen-tabular":
+                defaults, argv = GEN_TABULAR_DEFAULTS, ["gen-data", "tabular", "--out", out]
+            elif command == "train-base":
+                defaults = TRAIN_DEFAULTS["base"]
+                argv = ["train", "base", "--data", pf_data, "--out", out]
+            else:
+                defaults = refine_defaults()
+                argv = ["refine", "--model", pf_models[0], "--eps", pf_models[1],
+                        "--data", pf_data, "--out", out]
+            cfg = tmp / "cfg.json"
+            cfg.write_text(_draw_bad_config(data, defaults))
+            _assert_one_error(*_quiet_cli(*argv, "--config", cfg), 2, "ConfigError")
+
+    @settings(max_examples=40)
+    @given(data=st.data())
+    def test_dataset_tsv(self, pf_data, tab_data, data):
+        kind = data.draw(st.sampled_from(["base", "classifier"]))
+        split = data.draw(st.sampled_from(["train", "val", "test"]))
+        with tempfile.TemporaryDirectory() as tmp:
+            tmp = Path(tmp)
+            shutil.copytree(pf_data if kind == "base" else tab_data, tmp / "ds")
+            _damage_tsv(data, tmp / "ds" / f"{split}.tsv")
+            cfg = write_json(tmp / "cfg.json", {"epochs": 1})
+            got = _quiet_cli("train", kind, "--data", tmp / "ds", "--config", cfg,
+                             "--out", tmp / "m")
+            _assert_one_error(*got, 3, "DataError")
+
+    @settings(max_examples=40)
+    @given(data=st.data())
+    def test_model_file(self, pf_data, pf_models, data):
+        which = data.draw(st.sampled_from([0, 1]))
+        with tempfile.TemporaryDirectory() as tmp:
+            tmp = Path(tmp)
+            models = list(pf_models)
+            models[which] = tmp / "bad.npz"
+            _damage_model(data, pf_models[which], models[which])
+            got = _quiet_cli("refine", "--model", models[0], "--eps", models[1],
+                             "--data", pf_data, "--out", tmp / "r")
+            _assert_one_error(*got, 3, "DataError")
 
 
 @pytest.fixture(scope="module")

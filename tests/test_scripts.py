@@ -5,9 +5,12 @@ API change that breaks them shows here rather than at the next full
 experiment run.
 """
 
+import json
 import subprocess
 import sys
 from pathlib import Path
+
+from diffrefine.baselines import load_toy_demo
 
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 
@@ -32,3 +35,19 @@ def test_attack_track():
     lines = out.splitlines()
     assert any(line.startswith("attack\tn_attacked\trobust_accuracy") for line in lines)
     assert "violation ratio cyclic/pgd:" in out
+
+
+def test_toy_track(tmp_path):
+    # The shipped recipe's model at a small size, and starts from which
+    # gradient descent converges in tens of steps instead of running to
+    # its 20000-step cap.
+    demo = load_toy_demo()
+    demo["starts"] = {"east": [[3.0, 3.0]], "west": [[-3.0, -2.0]]}
+    demo["model"]["n_samples"] = 200
+    demo["model"]["train"]["epochs"] = 2
+    recipe = tmp_path / "demo.json"
+    recipe.write_text(json.dumps(demo))
+    out = _run("run_toy_track.py", "--demo", str(recipe))
+    rows = [line.split() for line in out.splitlines() if "->" in line]
+    assert len(rows) == 2 * 3
+    assert sorted(r[1] for r in rows) == ["gd", "gd", "nr", "nr", "refine", "refine"]
