@@ -24,9 +24,9 @@ from pathlib import Path
 import numpy as np
 
 from .diffusion import train_noise_model
-from .errors import ConfigError, DataError
+from .errors import ConfigError, DataError, NumericError
 from .guidance import RefineConfig, refine
-from .model_store import TrainedModel
+from .model_store import TrainedModel, read_manifest
 from .network import FeedForwardNet, NetSpec, _sigmoid
 from .numerics import Rng
 from .potentials import (
@@ -240,14 +240,14 @@ def save_tabular_dataset(ds: TabularDataset, out_dir) -> None:
 
 def load_tabular_dataset(in_dir) -> TabularDataset:
     src = Path(in_dir)
+    manifest = read_manifest(
+        src, "tabular-dataset",
+        {"schema": dict, "seed": int, "label_noise": (int, float), "ground_truth_seed": int},
+    )
     try:
-        with open(src / "manifest.json", "r", encoding="utf-8") as fh:
-            manifest = json.load(fh)
-    except FileNotFoundError as exc:
-        raise DataError(f"no manifest in {src}") from exc
-    if manifest.get("kind") != "tabular-dataset":
-        raise DataError(f"{src} does not hold a tabular dataset")
-    schema = RelationalConstraintSet.from_config(manifest["schema"])
+        schema = RelationalConstraintSet.from_config(manifest["schema"])
+    except (ConfigError, NumericError) as exc:
+        raise DataError(f"{src / 'manifest.json'}: malformed schema: {exc}") from exc
     splits = {n: _read_split_tsv(src / f"{n}.tsv", schema.feature_names) for n in ("train", "val", "test")}
     return TabularDataset(
         schema=schema,

@@ -232,13 +232,9 @@ def _merge_cli_manifest(out: Path, command: str, config: dict, seeds: dict, inpu
 
 
 def _dataset_kind(data_dir) -> str:
-    path = Path(data_dir) / "manifest.json"
-    if not path.exists():
-        raise DataError(f"no manifest.json under {data_dir}")
-    try:
-        return json.loads(path.read_text()).get("kind", "")
-    except json.JSONDecodeError as exc:
-        raise DataError(f"{path} is not valid JSON: {exc}") from exc
+    from .model_store import read_manifest
+
+    return read_manifest(data_dir, keys={"kind": str})["kind"]
 
 
 def _model_path(out: str) -> Path:

@@ -3,15 +3,9 @@
 The forward process mixes a clean vector with Gaussian noise,
 x_t = sqrt(abar_t) x0 + sqrt(1 - abar_t) eps, where abar is the
 running product of per-step retention factors.  The reverse step is
-the non-Markovian deterministic update driven by a noise estimate;
-eta > 0 reintroduces stochasticity up to the ancestral amount.
-
-Two reverse modes exist.  "standard" carries the estimated noise
-through the direction term and satisfies the perfect-estimate
-round-trip identity; "truncated" drops the direction term and keeps
-only the rescaled clean estimate plus fresh noise.  The truncated
-variant is retained for comparison because it demonstrably fails the
-round-trip identity; "standard" is the default everywhere.
+the deterministic non-Markovian (DDIM) update driven by a noise
+estimate: it carries the estimated noise through the direction term,
+so with the true noise it inverts the forward map exactly.
 """
 
 from __future__ import annotations
@@ -25,8 +19,6 @@ from .model_store import TrainedModel
 from .network import FeedForwardNet, NetSpec
 from .numerics import Rng, require_finite
 from .training import Adam, Normalizer, TrainConfig, train_epoch
-
-DDIM_MODES = ("standard", "truncated")
 
 ALPHA_BAR_FLOOR = 1e-12
 
@@ -63,18 +55,6 @@ class NoiseSchedule:
         if not 0 <= t <= self.T:
             raise ConfigError(f"step {t} outside [0, {self.T}]")
         return float(self.alpha_bars[t])
-
-    def sigma(self, t: int, eta: float, t_prev: int | None = None) -> float:
-        """Stochasticity of the t -> t_prev transition for a given eta."""
-        if t_prev is None:
-            t_prev = t - 1
-        if not 0 <= t_prev < t <= self.T:
-            raise ConfigError(f"invalid transition {t} -> {t_prev}")
-        ab_t = self.alpha_bar(t)
-        ab_p = self.alpha_bar(t_prev)
-        return float(
-            eta * np.sqrt((1.0 - ab_p) / (1.0 - ab_t)) * np.sqrt(1.0 - ab_t / ab_p)
-        )
 
 
 def make_schedule(T: int, beta_min: float = 1e-4, beta_max: float = 0.02, shape: str = "linear") -> NoiseSchedule:
@@ -125,23 +105,15 @@ def ddim_step(
     t: int,
     eps_hat,
     schedule: NoiseSchedule,
-    eta: float = 0.0,
-    mode: str = "standard",
-    rng: Rng | None = None,
     t_prev: int | None = None,
     x0_hat=None,
 ) -> np.ndarray:
-    """One reverse transition t -> t_prev (default t - 1).
+    """One deterministic reverse transition t -> t_prev (default t - 1).
 
-    eta = 0 is fully deterministic; eta > 0 requires an rng for the
-    fresh noise draw.  t_prev may skip levels, which is how a short
-    trajectory covers the whole schedule.  A caller that already holds
+    t_prev may skip levels, which is how a short trajectory covers the
+    whole schedule.  A caller that already holds
     ``estimate_x0(x_t, t, eps_hat, schedule)`` passes it as ``x0_hat``.
     """
-    if mode not in DDIM_MODES:
-        raise ConfigError(f"unknown mode {mode!r}; expected one of {DDIM_MODES}")
-    if eta < 0.0:
-        raise ConfigError("eta must be non-negative")
     if t_prev is None:
         t_prev = t - 1
     if not 0 <= t_prev < t <= schedule.T:
@@ -151,15 +123,7 @@ def ddim_step(
     if x0_hat is None:
         x0_hat = estimate_x0(x_t, t, eps_hat, schedule)
     ab_p = schedule.alpha_bar(t_prev)
-    sig = schedule.sigma(t, eta, t_prev) if eta > 0.0 else 0.0
-    out = np.sqrt(ab_p) * x0_hat
-    if mode == "standard":
-        direction = max(1.0 - ab_p - sig * sig, 0.0)
-        out = out + np.sqrt(direction) * eps_hat
-    if sig > 0.0:
-        if rng is None:
-            raise ConfigError("eta > 0 requires an rng")
-        out = out + sig * rng.normal(x_t.shape)
+    out = np.sqrt(ab_p) * x0_hat + np.sqrt(max(1.0 - ab_p, 0.0)) * eps_hat
     require_finite(out, "ddim step")
     return out
 
@@ -271,8 +235,6 @@ def generate(
     model: TrainedModel,
     n: int,
     rng: Rng,
-    eta: float = 0.0,
-    mode: str = "standard",
     conditions: np.ndarray | None = None,
 ) -> np.ndarray:
     """Sample by running the full reverse chain from standard noise.
@@ -288,5 +250,5 @@ def generate(
         c = model.x_norm.encode(np.asarray(conditions, dtype=float))
     for t in range(schedule.T, 0, -1):
         eps_hat = model.net.forward(z, t=np.full(n, t), cond=c)
-        z = ddim_step(z, t, eps_hat, schedule, eta=eta, mode=mode, rng=rng)
+        z = ddim_step(z, t, eps_hat, schedule)
     return model.y_norm.decode(z)

@@ -13,10 +13,10 @@ whose solution, using grad . delta = -||grad||, is
 
 with r = x0_hat - x'.  With lam = 0 this reduces to the projection of
 the denoising residual onto the descent direction, d * cos(theta).
-The refinement loop runs the corrected transitions over a decreasing
-subsequence of schedule steps, starting from an injected prediction,
-and operates in normalized sample coordinates; the potential is
-evaluated in physical coordinates through the chain rule.
+The refinement loop runs the corrected deterministic transitions over
+a decreasing subsequence of schedule steps, starting from the injected
+prediction itself, and operates in normalized sample coordinates; the
+potential is evaluated in physical coordinates through the chain rule.
 """
 
 from __future__ import annotations
@@ -25,11 +25,15 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .diffusion import DDIM_MODES, NoiseSchedule, ddim_step, estimate_x0, forward_noise, model_schedule
+from .diffusion import NoiseSchedule, ddim_step, estimate_x0, model_schedule
 from .errors import ConfigError, NonFiniteGradientError
 from .model_store import TrainedModel
-from .numerics import Rng, as_vector, finite_diff_jacobian, least_squares_min_norm, require_finite
+from .numerics import as_vector, require_finite
 from .potentials import ConstraintPotential, NormalizedPotential
+
+# Gradient norms at or below this skip the correction (flat or critical
+# regions, where the descent direction is undefined).
+GRAD_FLOOR = 1e-10
 
 
 @dataclass(frozen=True)
@@ -38,21 +42,13 @@ class RefineConfig:
 
     steps is the number of reverse transitions (0 means no-op);
     start_step the schedule index where the prediction is injected
-    (None means the top of the chain).  gamma_clip of None activates
-    an adaptive cap at ten times the running median step scale;
-    explicit values cap |gamma| directly.  noised_start forward-noises
-    the injected prediction to the start level instead of using it
-    verbatim.
+    (None means the top of the chain); lam the weight of the
+    constraint term in the correction length.
     """
 
     steps: int
     start_step: int | None = None
     lam: float = 0.0
-    gamma_clip: float | None = None
-    grad_floor: float = 1e-10
-    mode: str = "standard"
-    eta: float = 0.0
-    noised_start: bool = False
 
     def __post_init__(self):
         if self.steps < 0:
@@ -61,26 +57,9 @@ class RefineConfig:
             raise ConfigError("start_step must be at least 1")
         if self.lam < 0.0:
             raise ConfigError("lam must be non-negative")
-        if self.gamma_clip is not None and self.gamma_clip <= 0.0:
-            raise ConfigError("gamma_clip must be positive")
-        if self.mode not in DDIM_MODES:
-            raise ConfigError(f"mode must be one of {DDIM_MODES}, got {self.mode!r}")
-        if self.grad_floor < 0.0:
-            raise ConfigError("grad_floor must be non-negative")
-        if self.eta < 0.0:
-            raise ConfigError("eta must be non-negative")
 
     def to_config(self) -> dict:
-        return {
-            "steps": self.steps,
-            "start_step": self.start_step,
-            "lam": self.lam,
-            "gamma_clip": self.gamma_clip,
-            "grad_floor": self.grad_floor,
-            "mode": self.mode,
-            "eta": self.eta,
-            "noised_start": self.noised_start,
-        }
+        return {"steps": self.steps, "start_step": self.start_step, "lam": self.lam}
 
     @classmethod
     def from_config(cls, cfg: dict) -> "RefineConfig":
@@ -122,8 +101,8 @@ class Trajectory:
         return lines
 
 
-def descent_direction(pot: ConstraintPotential, x, grad_floor: float = 1e-10):
-    """Unit steepest-descent direction, or None below the gradient floor.
+def descent_direction(pot: ConstraintPotential, x):
+    """Unit steepest-descent direction, or None at or below GRAD_FLOOR.
 
     Returns (delta, grad_norm).  Raises NonFiniteGradientError when the
     gradient has non-finite entries.
@@ -132,7 +111,7 @@ def descent_direction(pot: ConstraintPotential, x, grad_floor: float = 1e-10):
     if not np.all(np.isfinite(g)):
         raise NonFiniteGradientError(f"potential gradient non-finite at {x}")
     norm = float(np.linalg.norm(g))
-    if norm <= grad_floor:
+    if norm <= GRAD_FLOOR:
         return None, norm
     return -g / norm, norm
 
@@ -171,7 +150,6 @@ def guided_step(
     schedule: NoiseSchedule,
     cfg: RefineConfig,
     t_prev: int | None = None,
-    rng: Rng | None = None,
     clip: float | None = None,
 ):
     """One corrected reverse transition; returns (x_next, StepRecord).
@@ -185,13 +163,11 @@ def guided_step(
         t_prev = t - 1
     x_t = as_vector(x_t, "x_t")
     x0_hat = estimate_x0(x_t, t, eps_hat, schedule)
-    x_prev = ddim_step(
-        x_t, t, eps_hat, schedule, eta=cfg.eta, mode=cfg.mode, rng=rng, t_prev=t_prev, x0_hat=x0_hat
-    )
+    x_prev = ddim_step(x_t, t, eps_hat, schedule, t_prev=t_prev, x0_hat=x0_hat)
     r = x0_hat - x_prev
     dist = float(np.linalg.norm(r))
     phi = float(pot.value(x_prev))
-    delta, grad_norm = descent_direction(pot, x_prev, cfg.grad_floor)
+    delta, grad_norm = descent_direction(pot, x_prev)
     if delta is None:
         rec = StepRecord(
             t=t, t_prev=t_prev, gamma=0.0, cos_angle=0.0, dist=dist, phi=phi,
@@ -238,7 +214,6 @@ def refine(
     model: TrainedModel,
     cfg: RefineConfig,
     condition=None,
-    rng: Rng | None = None,
     record: bool = True,
 ) -> RefineResult:
     """Pull a prediction toward the constraint manifold.
@@ -246,7 +221,9 @@ def refine(
     x_init and the potential live in physical coordinates; the loop
     operates in the model's normalized sample space and the potential
     is viewed through the normalization chain rule.  The trajectory
-    records per-step diagnostics in the normalized frame.
+    records per-step diagnostics in the normalized frame.  From the
+    fourth step on, |gamma| is capped at ten times the running median
+    of the earlier steps' distances to the clean estimate.
     """
     x_init = as_vector(x_init, "x_init")
     require_finite(x_init, "x_init")
@@ -268,71 +245,14 @@ def refine(
         cond_norm = np.asarray(model.x_norm.encode(condition), dtype=float)
     pot_norm = NormalizedPotential(pot, model.y_norm.mean, model.y_norm.std)
 
-    if cfg.noised_start:
-        if rng is None:
-            raise ConfigError("noised_start requires an rng")
-        z = forward_noise(z, start, rng.normal(z.shape), schedule)
-    if cfg.eta > 0.0 and rng is None:
-        raise ConfigError("eta > 0 requires an rng")
-
     dists: list = []
     for i, t in enumerate(levels):
         t_prev = levels[i + 1] if i + 1 < len(levels) else 0
         eps_hat = model.net.forward(z, t=t, cond=cond_norm)
-        if cfg.gamma_clip is not None:
-            clip = cfg.gamma_clip
-        elif len(dists) >= 3:
-            clip = 10.0 * float(np.median(dists))
-        else:
-            clip = None
-        z, rec = guided_step(z, t, eps_hat, pot_norm, schedule, cfg, t_prev=t_prev, rng=rng, clip=clip)
+        clip = 10.0 * float(np.median(dists)) if len(dists) >= 3 else None
+        z, rec = guided_step(z, t, eps_hat, pot_norm, schedule, cfg, t_prev=t_prev, clip=clip)
         dists.append(rec.dist)
         if record:
             trajectory.steps.append(rec)
 
     return RefineResult(x=np.asarray(model.y_norm.decode(z), dtype=float), trajectory=trajectory)
-
-
-# ---------------------------------------------------------------------------
-# One-shot residual correction through the local linearization.
-# ---------------------------------------------------------------------------
-
-@dataclass
-class CorrectionResult:
-    x: np.ndarray
-    iterations: int
-    residual_norm: float
-    rank_deficient: bool
-
-
-def residual_correction(
-    residual_fn,
-    x0,
-    jacobian_fn=None,
-    max_steps: int = 1,
-    tol: float = 0.0,
-) -> CorrectionResult:
-    """Move x by the minimum-norm solution of the linearized residual.
-
-    Each step solves J(x) r = -F(x) in the least-squares sense and
-    adds r.  With max_steps > 1 this is the Gauss-Newton iteration;
-    on square nondegenerate systems it reproduces the Newton update
-    exactly.  jacobian_fn defaults to a central finite difference.
-    """
-    x = as_vector(x0, "x0").copy()
-    if jacobian_fn is None:
-        jacobian_fn = lambda p: finite_diff_jacobian(residual_fn, p)
-    deficient = False
-    res_norm = float(np.linalg.norm(np.asarray(residual_fn(x), dtype=float)))
-    it = 0
-    for it in range(1, max_steps + 1):
-        f = np.asarray(residual_fn(x), dtype=float)
-        res_norm = float(np.linalg.norm(f))
-        if res_norm <= tol:
-            it -= 1
-            break
-        sol = least_squares_min_norm(jacobian_fn(x), f)
-        deficient = deficient or sol.rank_deficient
-        x = x + sol.r
-        res_norm = float(np.linalg.norm(np.asarray(residual_fn(x), dtype=float)))
-    return CorrectionResult(x=x, iterations=it, residual_norm=res_norm, rank_deficient=deficient)

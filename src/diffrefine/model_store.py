@@ -1,4 +1,5 @@
-"""Trained-model artifacts and their on-disk format.
+"""Trained-model artifacts and their on-disk format, and the reader of
+dataset manifests.
 
 A model file is a numpy .npz archive: a JSON header string (format
 version, kind, architecture, train config, seed, extras) plus raw
@@ -11,6 +12,7 @@ from __future__ import annotations
 import json
 import zipfile
 from dataclasses import dataclass, field
+from pathlib import Path
 
 import numpy as np
 
@@ -74,6 +76,33 @@ def save_model(path, model: TrainedModel) -> None:
     for k in header["extra_arrays"]:
         arrays[f"extra_{k}"] = np.asarray(model.extra[k], dtype=float)
     np.savez(path, **arrays)
+
+
+def read_manifest(directory, kind: str | None = None, keys: dict | None = None) -> dict:
+    """The JSON object in ``directory/manifest.json``.
+
+    ``kind``, when given, must equal the manifest's "kind"; ``keys`` maps
+    each key the caller reads to the type (or tuple of types) its value
+    must have, booleans never standing for numbers.  Every defect is a
+    DataError.
+    """
+    path = Path(directory) / "manifest.json"
+    try:
+        doc = json.loads(path.read_text(encoding="utf-8"))
+    except FileNotFoundError as exc:
+        raise DataError(f"no manifest.json under {directory}") from exc
+    except (OSError, ValueError) as exc:
+        raise DataError(f"cannot read {path}: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise DataError(f"{path} must hold a JSON object")
+    if kind is not None and doc.get("kind") != kind:
+        raise DataError(f"{path}: not a {kind} manifest")
+    for key, types in (keys or {}).items():
+        if key not in doc:
+            raise DataError(f"{path} lacks the key {key!r}")
+        if isinstance(doc[key], bool) or not isinstance(doc[key], types):
+            raise DataError(f"{path}: key {key!r} has the wrong type: {json.dumps(doc[key])}")
+    return doc
 
 
 def load_model(path) -> TrainedModel:

@@ -11,7 +11,6 @@ values instead of letting NaNs propagate silently.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -24,10 +23,6 @@ from .errors import (
 
 # Relative pivot threshold for the LU solve, scaled by the row-sum norm.
 PIVOT_RTOL = 1e-12
-
-# Singular values below this fraction of the largest one are treated as
-# zero by the minimum-norm least-squares solve.
-LSTSQ_RCOND = 1e-10
 
 _MASK64 = (1 << 64) - 1
 
@@ -94,34 +89,6 @@ def solve_linear(a, b) -> np.ndarray:
         x[k] = (x[k] - u[k, k + 1 :] @ x[k + 1 :]) / u[k, k]
     require_finite(x, "solution")
     return x
-
-
-@dataclass(frozen=True)
-class MinNormSolution:
-    """Result of a minimum-norm least-squares solve."""
-
-    r: np.ndarray
-    rank: int
-    rank_deficient: bool
-
-
-def least_squares_min_norm(j, f) -> MinNormSolution:
-    """Minimum-norm ``r`` minimizing ``|| j @ r + f ||``.
-
-    SVD-backed; singular values below LSTSQ_RCOND of the largest are
-    treated as zero, so rank-deficient systems come back flagged
-    instead of raising.  The returned ``r`` lies in the row space of
-    ``j`` (that is what makes it minimum-norm).
-    """
-    j = as_matrix(j, "j")
-    f = as_vector(f, "f")
-    if f.shape[0] != j.shape[0]:
-        raise DimensionMismatchError(f"f has length {f.shape[0]}, expected {j.shape[0]}")
-    require_finite(j, "j")
-    require_finite(f, "f")
-    r, _, rank, _ = np.linalg.lstsq(j, -f, rcond=LSTSQ_RCOND)
-    rank = int(rank)
-    return MinNormSolution(r=r, rank=rank, rank_deficient=rank < min(j.shape))
 
 
 def finite_diff_grad(f: Callable, x, h: float | None = None) -> np.ndarray:

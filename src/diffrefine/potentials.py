@@ -605,31 +605,14 @@ class RelationalConstraintSet(ConstraintPotential):
                     )
                 else:
                     raise ConfigError(f"unknown constraint kind {kind!r}")
-        except (KeyError, TypeError) as exc:
+            return cls(names, bounds, terms)
+        except (KeyError, TypeError, ValueError) as exc:
             raise ConfigError(f"malformed constraint schema: {exc}") from exc
-        return cls(names, bounds, terms)
 
     @classmethod
     def from_json(cls, path) -> "RelationalConstraintSet":
         with open(path, "r", encoding="utf-8") as fh:
             return cls.from_config(json.load(fh))
-
-
-def relational_phi(
-    constraints: RelationalConstraintSet, x
-) -> tuple[float, np.ndarray, np.ndarray]:
-    """Evaluate a relational constraint set at one point.
-
-    Returns the total squared violation, its gradient, and the per-term
-    squared residuals in declaration order.
-    """
-    x = np.asarray(x, dtype=float)
-    if x.ndim != 1 or x.shape[0] != constraints.dim:
-        raise DimensionMismatchError(
-            f"expected a point of dimension {constraints.dim}, got shape {x.shape}"
-        )
-    breakdown = constraints.breakdown(x)
-    return float(np.sum(breakdown)), constraints.grad(x), breakdown
 
 
 # ---------------------------------------------------------------------------

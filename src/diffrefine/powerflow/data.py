@@ -21,12 +21,24 @@ from pathlib import Path
 import numpy as np
 
 from ..errors import DataError, DatasetInfeasibleError, NoConvergenceError
+from ..model_store import read_manifest
 from ..numerics import Rng
 from .grid import BUNDLED_CASES, GridCase, case_text
 from .solver import Injections, injection_features, newton_raphson, pack_state
 from .ybus import build_ybus
 
 FORMAT_VERSION = 1
+
+# The manifest keys load_dataset reads, with the JSON types they must have.
+MANIFEST_KEYS = {
+    "feature_names": list,
+    "target_names": list,
+    "case": str,
+    "base_mva": (int, float),
+    "seed": int,
+    "train_spread": (int, float),
+    "test_spread": (int, float),
+}
 
 
 @dataclass
@@ -202,12 +214,7 @@ def save_dataset(ds: PowerFlowDataset, out_dir) -> None:
 
 def load_dataset(in_dir) -> PowerFlowDataset:
     src = Path(in_dir)
-    manifest_path = src / "manifest.json"
-    if not manifest_path.exists():
-        raise DataError(f"no manifest.json under {src}")
-    manifest = json.loads(manifest_path.read_text())
-    if manifest.get("kind") != "powerflow-dataset":
-        raise DataError(f"{manifest_path}: not a powerflow dataset manifest")
+    manifest = read_manifest(src, "powerflow-dataset", MANIFEST_KEYS)
     if manifest.get("format_version") != FORMAT_VERSION:
         raise DataError(f"unsupported dataset format version {manifest.get('format_version')}")
     f_names = manifest["feature_names"]

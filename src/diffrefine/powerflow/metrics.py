@@ -37,13 +37,6 @@ class MetricsReport:
     def mean_mrpm(self) -> float:
         return float(self.mrpm.mean())
 
-    def summary(self) -> dict:
-        return {
-            "mse": self.mean_mse,
-            "mapm_mw": self.mean_mapm,
-            "mrpm_mvar": self.mean_mrpm,
-        }
-
 
 def peak_mismatches(case: GridCase, ybus: YBus, predictions: np.ndarray, features: np.ndarray):
     """Per-sample worst |ΔP| (MW) and |ΔQ| (MVAr) under each feature

@@ -262,13 +262,9 @@ class KirchhoffPotential(ConstraintPotential):
     def grad_batch(self, xs) -> np.ndarray:
         return grid_residual_grad(self.case, self.ybus, xs, self.spec)
 
-    # Hooks for the linearized one-shot correction baseline.
     def residual(self, x) -> np.ndarray:
+        """Spec minus calculated power at x, in the feature layout."""
         return grid_residual(self.case, self.ybus, np.asarray(x, dtype=float)[None], self.spec)[0]
-
-    def residual_jacobian(self, x) -> np.ndarray:
-        state = unpack_state(self.case, x)
-        return -power_jacobian(self.case, self.ybus, state)
 
 
 def kirchhoff_potential(

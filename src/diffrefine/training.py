@@ -243,11 +243,3 @@ def train_epoch(
         losses.append(loss)
     return float(np.mean(losses))
 
-
-def windowed_history(history: np.ndarray, window: int = 5) -> np.ndarray:
-    """Mean loss over consecutive windows; used for monotonicity checks."""
-    history = np.asarray(history, dtype=float)
-    usable = (history.size // window) * window
-    if usable == 0:
-        return history.copy()
-    return history[:usable].reshape(-1, window).mean(axis=1)

@@ -6,7 +6,9 @@ projected signed-gradient loop, the training epoch, the DDIM step and
 the row-chunk pool each got a single shared implementation, with numpy's
 bundled OpenBLAS on x86-64 (a BLAS built for other hardware may round
 matrix products differently).  A merge of two copies of a formula must
-leave every one of them unchanged.
+leave every one of them unchanged.  The deterministic sampling chain and
+the toy refinement trajectory were pinned before the stochastic reverse
+paths and the unused refinement knobs were removed.
 """
 
 import hashlib
@@ -26,7 +28,7 @@ from diffrefine.adversarial import (
 )
 from diffrefine.baselines import refine_power_batch, train_power_pinn, train_power_prior
 from diffrefine.diffusion import generate, make_schedule, train_noise_model
-from diffrefine.guidance import RefineConfig
+from diffrefine.guidance import RefineConfig, refine
 from diffrefine.numerics import Rng
 from diffrefine.powerflow import (
     build_ybus,
@@ -36,6 +38,7 @@ from diffrefine.powerflow import (
     load_case,
     peak_mismatches,
 )
+from diffrefine.potentials import muller_brown_potential
 from diffrefine.training import TrainConfig
 
 
@@ -80,7 +83,8 @@ def tabular():
 PINN_SHA = "3f07378f081fe2640e7a033171c2e0696918e0b7a4451b2c606d8505de90047d"
 PEAK_MISMATCHES_SHA = "e4894d29b3e1a2f696c49bcecda034f8c2327b0440436176a67f5b39211f33e1"
 KIRCHHOFF_SHA = "b9d3065be37a6d97d012cf576a37e049285ddb98a303293f6888701b68589d50"
-GENERATE_SHA = "960519ce862f2f2e2481244100a2d2cca84098bf292caaede832950c17065a3b"
+GENERATE_SHA = "5eb43215856699614e1de1960bdc261e823a919cb0e96dd4ac6c0eb62691ed9e"
+REFINE_TRAJECTORY_SHA = "41b31030248fe898ba161ae36bfb585a1bf1354eaf452c839e8a5312aa9b5278"
 REFINE_POWER_SHA = "223a7a9446675f56870032e066cb3f64712db2edaf321a5f6e51290e98767141"
 PGD_SHA = "1c25a4855823d757f97801390544c9696b14eb58fe636f8bcc9cae7d96155bac"
 PENALTY_SHA = "c59240cc947baa6e112e34ad203f1fc0d14210f08968ecbe328fcd02aa9cbdbc"
@@ -113,12 +117,27 @@ def test_generate():
     cond = rng.normal((60, 3))
     cfg = TrainConfig(epochs=3, batch_size=16, lr=1e-3, seed=42, loss="eps")
     model = train_noise_model(data, make_schedule(20), cfg, conditions=cond, hidden=(16, 16), time_dim=8)
-    got = [
-        generate(model, 5, Rng(43), conditions=cond[:5]),
-        generate(model, 5, Rng(44), eta=0.5, conditions=cond[:5]),
-        generate(model, 5, Rng(45), mode="truncated", conditions=cond[:5]),
-    ]
-    assert _sha256(*got) == GENERATE_SHA
+    assert _sha256(generate(model, 5, Rng(43), conditions=cond[:5])) == GENERATE_SHA
+
+
+def test_refine_trajectory():
+    # One toy refinement with every field of every step record; the
+    # adaptive clip binds on exactly one step.
+    rng = Rng(51)
+    data = np.array([-0.6, 0.9]) + 0.4 * rng.normal((80, 2))
+    cfg = TrainConfig(epochs=3, batch_size=16, lr=1e-3, seed=52, loss="eps")
+    model = train_noise_model(data, make_schedule(30), cfg, hidden=(16, 16), time_dim=8)
+    out = refine(
+        np.array([0.6, 0.0]), muller_brown_potential(), model,
+        RefineConfig(steps=10, start_step=30, lam=0.5),
+    )
+    steps = out.trajectory.steps
+    assert sum(s.clipped for s in steps) == 1
+    got = [out.x]
+    for s in steps:
+        got += [s.x_prev, s.x0_hat, s.delta]
+        got.append([s.t, s.t_prev, s.gamma, s.clipped, s.grad_norm, s.phi, s.dist, s.cos_angle])
+    assert _sha256(*got) == REFINE_TRAJECTORY_SHA
 
 
 @pytest.mark.parametrize("workers", [1, 2])

@@ -29,6 +29,7 @@ from diffrefine.cli import (
     refine_defaults,
 )
 from diffrefine.model_store import load_model
+from diffrefine.powerflow.data import MANIFEST_KEYS as PF_MANIFEST_KEYS
 
 
 def run_cli(*argv) -> int:
@@ -450,7 +451,9 @@ def _damage_tsv(data, path: Path) -> None:
     elif form == "extra":
         cells.insert(col, "0.5")
     else:
-        cells[col] = cells[col] + data.draw(st.text(CELL_CHARS, min_size=1, max_size=4))
+        # The suffix must damage the cell: "0.5" + "0" is still a number.
+        suffix = st.text(CELL_CHARS, min_size=1, max_size=4)
+        cells[col] += data.draw(suffix.filter(lambda t: not _finite_number(cells[col] + t)))
     lines[row] = "\t".join(cells)
     path.write_text("\n".join(lines))
 
@@ -495,6 +498,31 @@ def _damage_model(data, src: Path, dst: Path) -> None:
         else:
             arrays[name] = arrays[name][None, :]
     _write_model(dst, header, arrays)
+
+
+# The manifest keys each dataset loader reads.
+PF_KEYS = ("kind", "format_version", *sorted(PF_MANIFEST_KEYS))
+TABULAR_KEYS = ("kind", "schema", "seed", "label_noise", "ground_truth_seed")
+
+
+def _damage_manifest(data, path: Path, keys) -> None:
+    form = data.draw(st.sampled_from(["text", "not-object", "drop", "wrong-type"]))
+    if form == "text":
+        path.write_text(data.draw(st.text(max_size=20).filter(_not_json)))
+        return
+    if form == "not-object":
+        path.write_text(json.dumps(data.draw(JSON_VALUES.filter(lambda v: not isinstance(v, dict)))))
+        return
+    doc = json.loads(path.read_text())
+    key = data.draw(st.sampled_from(keys))
+    if form == "drop":
+        del doc[key]
+    else:
+        # A string never stands for a number, list or object, and a
+        # number never for a string.
+        wrong = st.integers() if isinstance(doc[key], str) else st.text(max_size=5)
+        doc[key] = data.draw(wrong)
+    path.write_text(json.dumps(doc))
 
 
 class TestMalformedInputsFuzzed:
@@ -549,6 +577,29 @@ class TestMalformedInputsFuzzed:
             got = _quiet_cli("refine", "--model", models[0], "--eps", models[1],
                              "--data", pf_data, "--out", tmp / "r")
             _assert_one_error(*got, 3, "DataError")
+
+    @settings(max_examples=40)
+    @given(data=st.data())
+    def test_dataset_manifest(self, pf_data, pf_models, tab_data, tab_models, data):
+        command = data.draw(st.sampled_from(["train-base", "train-classifier", "refine", "attack"]))
+        grid = command in ("train-base", "refine")
+        with tempfile.TemporaryDirectory() as tmp:
+            tmp = Path(tmp)
+            ds = tmp / "ds"
+            shutil.copytree(pf_data if grid else tab_data, ds)
+            _damage_manifest(data, ds / "manifest.json", PF_KEYS if grid else TABULAR_KEYS)
+            cfg = write_json(tmp / "cfg.json", {"epochs": 1})
+            if command == "train-base":
+                argv = ["train", "base", "--data", ds, "--config", cfg, "--out", tmp / "m"]
+            elif command == "train-classifier":
+                argv = ["train", "classifier", "--data", ds, "--config", cfg, "--out", tmp / "m"]
+            elif command == "refine":
+                argv = ["refine", "--model", pf_models[0], "--eps", pf_models[1],
+                        "--data", ds, "--out", tmp / "r"]
+            else:
+                argv = ["attack", "--kind", "pgd", "--data", ds, "--model", tab_models[0],
+                        "--out", tmp / "a"]
+            _assert_one_error(*_quiet_cli(*argv), 3, "DataError")
 
 
 @pytest.fixture(scope="module")
@@ -620,6 +671,24 @@ class TestRefine:
             run_cli("refine", "--model", base, "--eps", eps, "--data", pf_data,
                     "--out", tmp_path / "x", "--split", "holdout") == 2
         )
+
+    def test_print_config_lists_the_three_knobs(self, capsys):
+        assert run_cli("refine", "--model", "x", "--eps", "y", "--data", "z", "--print-config") == 0
+        assert set(json.loads(capsys.readouterr().out)) == {"steps", "start_step", "lam"}
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [("mode", "standard"), ("eta", 0.0), ("noised_start", False), ("gamma_clip", None),
+         ("grad_floor", 1e-10)],
+    )
+    def test_removed_key_rejected(self, pf_data, pf_models, tmp_path, key, value):
+        base, eps = pf_models
+        cfg = write_json(tmp_path / "cfg.json", {"steps": 6, key: value})
+        out = tmp_path / "r"
+        got = _quiet_cli("refine", "--model", base, "--eps", eps, "--data", pf_data,
+                         "--config", cfg, "--out", out)
+        _assert_one_error(*got, 2, "ConfigError")
+        assert not out.exists()
 
 
 class TestSolvePf:

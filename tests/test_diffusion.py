@@ -55,20 +55,6 @@ class TestSchedule:
         with pytest.raises(ConfigError):
             make_schedule(0)
 
-    def test_sigma_zero_when_deterministic(self):
-        s = make_schedule(20)
-        for t in range(2, 21):
-            assert s.sigma(t, eta=0.0) == 0.0
-
-    def test_sigma_monotone_in_eta(self):
-        s = make_schedule(20)
-        vals = [s.sigma(10, eta=e) for e in (0.0, 0.5, 1.0)]
-        assert vals[0] < vals[1] < vals[2]
-
-    def test_sigma_zero_at_first_level(self):
-        s = make_schedule(20)
-        assert s.sigma(1, eta=1.0) == pytest.approx(0.0, abs=1e-12)
-
 
 class TestForwardAndEstimate:
     @settings(max_examples=50)
@@ -102,18 +88,8 @@ class TestDdimStep:
         eps = rng.normal((5, 2))
         x = forward_noise(x0, 60, eps, s)
         for t in range(60, 0, -1):
-            x = ddim_step(x, t, eps, s, mode="standard")
+            x = ddim_step(x, t, eps, s)
         assert float(np.abs(x - x0).max()) < 1e-8
-
-    def test_truncated_mode_does_not_recover(self):
-        s = make_schedule(60, 1e-4, 0.03)
-        rng = Rng(17)
-        x0 = rng.normal((5, 2))
-        eps = rng.normal((5, 2))
-        x = forward_noise(x0, 60, eps, s)
-        for t in range(60, 0, -1):
-            x = ddim_step(x, t, eps, s, mode="truncated")
-        assert float(np.abs(x - x0).max()) > 1e-3
 
     def test_subsequence_jump_matches_direct(self):
         # Jumping 10 -> 4 in one deterministic step equals the formula
@@ -123,26 +99,16 @@ class TestDdimStep:
         x0 = rng.normal((3, 2))
         eps = rng.normal((3, 2))
         x10 = forward_noise(x0, 10, eps, s)
-        jumped = ddim_step(x10, 10, eps, s, mode="standard", t_prev=4)
+        jumped = ddim_step(x10, 10, eps, s, t_prev=4)
         expected = forward_noise(x0, 4, eps, s)
         assert np.allclose(jumped, expected, atol=1e-12)
-
-    def test_stochastic_needs_rng(self):
-        s = make_schedule(10)
-        with pytest.raises(ConfigError):
-            ddim_step(np.array([1.0]), 5, np.array([0.0]), s, eta=0.5)
 
     def test_final_step_lands_on_x0_hat(self):
         s = make_schedule(10)
         x = np.array([0.7])
         e = np.array([0.2])
-        out = ddim_step(x, 1, e, s, mode="standard")
+        out = ddim_step(x, 1, e, s)
         assert out[0] == pytest.approx(float(estimate_x0(x, 1, e, s)[0]))
-
-    def test_unknown_mode_rejected(self):
-        s = make_schedule(10)
-        with pytest.raises(ConfigError):
-            ddim_step(np.array([1.0]), 5, np.array([0.0]), s, mode="fancy")
 
 
 class TestNoiseModel:

@@ -13,7 +13,6 @@ from diffrefine.guidance import (
     descent_direction,
     guided_step,
     refine,
-    residual_correction,
     step_subsequence,
 )
 from diffrefine.numerics import Rng
@@ -231,16 +230,16 @@ class TestStepSubsequence:
 
 class TestRefineConfig:
     def test_round_trip(self):
-        cfg = RefineConfig(steps=20, start_step=40, lam=0.5, mode="truncated", eta=0.1)
+        cfg = RefineConfig(steps=20, start_step=40, lam=0.5)
         assert RefineConfig.from_config(cfg.to_config()) == cfg
 
     def test_invalid_rejected(self):
         with pytest.raises(ConfigError):
             RefineConfig(steps=-1)
         with pytest.raises(ConfigError):
-            RefineConfig(steps=5, mode="fancy")
+            RefineConfig(steps=5, start_step=0)
         with pytest.raises(ConfigError):
-            RefineConfig(steps=5, eta=-0.5)
+            RefineConfig(steps=5, lam=-0.5)
         with pytest.raises(ConfigError):
             RefineConfig.from_config({"steps": 5, "bogus": 1})
 
@@ -320,48 +319,9 @@ class TestRefine:
         with pytest.raises(ConfigError):
             refine(np.zeros(2), pot, model, cfg)
 
-    def test_noised_start_needs_rng(self, toy_noise_model):
-        pot = muller_brown_potential()
-        cfg = RefineConfig(steps=2, start_step=5, noised_start=True)
-        with pytest.raises(ConfigError):
-            refine(np.zeros(2), pot, toy_noise_model, cfg)
-
     def test_same_seed_deterministic(self, toy_noise_model):
         pot = muller_brown_potential()
-        cfg = RefineConfig(steps=8, start_step=40, lam=0.2, noised_start=True)
-        a = refine(np.array([0.2, 0.8]), pot, toy_noise_model, cfg, rng=Rng(4)).x
-        b = refine(np.array([0.2, 0.8]), pot, toy_noise_model, cfg, rng=Rng(4)).x
+        cfg = RefineConfig(steps=8, start_step=40, lam=0.2)
+        a = refine(np.array([0.2, 0.8]), pot, toy_noise_model, cfg).x
+        b = refine(np.array([0.2, 0.8]), pot, toy_noise_model, cfg).x
         assert np.array_equal(a, b)
-
-
-class TestResidualCorrection:
-    def test_linear_lands_in_one_step(self):
-        a = np.array([[2.0, 0.0], [1.0, 3.0]])
-        b = np.array([1.0, -2.0])
-        res = residual_correction(lambda x: a @ x - b, np.zeros(2), jacobian_fn=lambda x: a)
-        assert res.iterations == 1
-        assert res.residual_norm < 1e-9
-        assert not res.rank_deficient
-        assert np.allclose(a @ res.x, b, atol=1e-9)
-
-    def test_already_solved_untouched(self):
-        a = np.array([[2.0, 0.0], [1.0, 3.0]])
-        x_star = np.array([0.5, 1.0])
-        b = a @ x_star
-        res = residual_correction(lambda x: a @ x - b, x_star, jacobian_fn=lambda x: a, tol=1e-12)
-        assert res.iterations == 0
-        assert np.array_equal(res.x, x_star)
-
-    def test_finite_difference_jacobian_default(self):
-        res = residual_correction(lambda x: np.array([x[0] ** 2 - 4.0]), np.array([3.0]), max_steps=8, tol=1e-12)
-        assert res.x[0] == pytest.approx(2.0, abs=1e-6)
-
-    def test_rank_deficiency_flagged(self):
-        j = np.array([[1.0, 1.0], [1.0, 1.0]])
-        res = residual_correction(
-            lambda x: np.array([x[0] + x[1] - 2.0, x[0] + x[1] - 2.0]),
-            np.zeros(2),
-            jacobian_fn=lambda x: j,
-        )
-        assert res.rank_deficient
-        assert np.allclose(res.x, np.array([1.0, 1.0]), atol=1e-9)

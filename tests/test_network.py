@@ -17,7 +17,6 @@ from diffrefine.training import (
     TrainConfig,
     backprop_grads,
     train_network,
-    windowed_history,
 )
 
 
@@ -223,13 +222,6 @@ class TestTraining:
             pred = net.forward(x)
             results[kind] = float(np.mean(np.sum(pred**2, axis=1)))
         assert results["pinn"] < results["mse"]
-
-    def test_windowed_history(self):
-        h = np.array([5.0, 4.0, 3.0, 2.0, 1.0, 0.9, 0.8, 0.7, 0.6, 0.5])
-        w = windowed_history(h, window=5)
-        assert w.shape == (2,)
-        assert w[0] == pytest.approx(3.0)
-        assert w[1] == pytest.approx(0.7)
 
 
 class TestNormalizer:

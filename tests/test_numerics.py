@@ -1,4 +1,4 @@
-"""Linear solves, least squares, derivative probes, seeded streams."""
+"""Linear solves, derivative probes, seeded streams."""
 
 import numpy as np
 import pytest
@@ -15,7 +15,6 @@ from diffrefine.numerics import (
     derive_seed,
     finite_diff_grad,
     finite_diff_jacobian,
-    least_squares_min_norm,
     solve_linear,
 )
 
@@ -80,42 +79,6 @@ class TestSolveLinear:
         x_true = rng.normal(n)
         x = solve_linear(a, a @ x_true)
         assert np.allclose(x, x_true, atol=1e-8, rtol=1e-8)
-
-
-class TestLeastSquaresMinNorm:
-    def test_underdetermined_min_norm(self):
-        sol = least_squares_min_norm(np.array([[1.0, 0.0]]), np.array([2.0]))
-        assert np.allclose(sol.r, [-2.0, 0.0], atol=1e-12)
-        assert sol.rank == 1
-        # Full row rank: underdetermined but not deficient.
-        assert not sol.rank_deficient
-
-    def test_square_full_rank(self):
-        a = np.array([[2.0, 1.0], [1.0, 3.0]])
-        f = np.array([1.0, -1.0])
-        sol = least_squares_min_norm(a, f)
-        assert np.allclose(a @ sol.r, -f, atol=1e-12)
-        assert not sol.rank_deficient
-
-    def test_rank_deficient_flagged(self):
-        a = np.array([[1.0, 1.0], [2.0, 2.0]])
-        sol = least_squares_min_norm(a, np.array([1.0, 2.0]))
-        assert sol.rank_deficient
-        assert sol.rank == 1
-
-    def test_row_space_property(self):
-        # The minimum-norm solution lies in the row space of j.
-        rng = Rng(7)
-        for _ in range(100):
-            k = int(rng.integers(1, 5))
-            d = int(rng.integers(k, 9))
-            j = rng.normal((k, d))
-            f = rng.normal(k)
-            sol = least_squares_min_norm(j, f)
-            # Project r onto the row space and compare.
-            q, _ = np.linalg.qr(j.T)
-            proj = q @ (q.T @ sol.r)
-            assert np.allclose(proj, sol.r, atol=1e-8)
 
 
 class TestFiniteDiff:

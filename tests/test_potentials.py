@@ -6,7 +6,6 @@ import scipy.stats
 
 from diffrefine.errors import (
     ConfigError,
-    DimensionMismatchError,
     SamplerStalledError,
     ValidationError,
 )
@@ -22,7 +21,6 @@ from diffrefine.potentials import (
     RelationalConstraintSet,
     ZeroPotential,
     finite_difference_conformance,
-    relational_phi,
     global_minimum,
     locate_stationary_points,
     muller_brown_potential,
@@ -200,34 +198,6 @@ class TestRelationalConstraintSet:
     def test_bad_bounds_rejected(self):
         with pytest.raises(ValidationError):
             RelationalConstraintSet(["a"], [[1.0, 1.0]], [])
-
-
-class TestRelationalPhi:
-    def test_single_linear_sum_by_hand(self):
-        # x1 + x2 - 1 at (1, 1): residual 1, so phi = 1 and grad = (2, 2)
-        pot = RelationalConstraintSet(
-            ["x1", "x2"],
-            [[-5.0, 5.0], [-5.0, 5.0]],
-            [LinearSumTerm(features=("x1", "x2"), weights=(1.0, 1.0), offset=1.0)],
-        )
-        phi, grad, breakdown = relational_phi(pot, np.array([1.0, 1.0]))
-        assert phi == pytest.approx(1.0, abs=1e-15)
-        assert np.allclose(grad, [2.0, 2.0], atol=1e-15)
-        assert breakdown.shape == (1,)
-        assert breakdown[0] == pytest.approx(1.0, abs=1e-15)
-
-    def test_matches_potential_methods(self):
-        pot = small_constraint_set()
-        x = np.array([3.1, 0.7, 1.9, 2.2])
-        phi, grad, breakdown = relational_phi(pot, x)
-        assert phi == pytest.approx(pot.value(x), rel=1e-15)
-        assert np.array_equal(grad, pot.grad(x))
-        assert np.array_equal(breakdown, pot.breakdown(x))
-
-    def test_rejects_wrong_dimension(self):
-        pot = small_constraint_set()
-        with pytest.raises(DimensionMismatchError):
-            relational_phi(pot, np.zeros(3))
 
 
 class TestSamplers:

@@ -11,7 +11,6 @@ from diffrefine.errors import (
     ValidationError,
     ZeroImpedanceBranchError,
 )
-from diffrefine.guidance import residual_correction
 from diffrefine.numerics import Rng, finite_diff_jacobian
 from diffrefine.potentials import finite_difference_conformance
 from diffrefine.powerflow import (
@@ -350,29 +349,6 @@ class TestGridResidual:
         spec = Rng(11).normal(ieee14.n_unknowns)
         shared = grid_residual(ieee14, ybus, xs, spec)
         assert np.array_equal(shared, grid_residual(ieee14, ybus, xs, np.tile(spec, (5, 1))))
-
-
-class TestGaussNewtonEquivalence:
-    def test_two_bus_reaches_solver_answer(self):
-        case = two_bus_case(50.0)
-        pot = kirchhoff_potential(case)
-        start = pack_state(case, flat_start(case))
-        res = residual_correction(
-            pot.residual, start, jacobian_fn=pot.residual_jacobian,
-            max_steps=20, tol=1e-12,
-        )
-        exact = pack_state(case, newton_raphson(case).state)
-        assert np.abs(res.x - exact).max() < 1e-8
-
-    def test_ieee14_matches_newton(self, ieee14):
-        pot = kirchhoff_potential(ieee14)
-        start = pack_state(ieee14, flat_start(ieee14))
-        res = residual_correction(
-            pot.residual, start, jacobian_fn=pot.residual_jacobian,
-            max_steps=20, tol=1e-10,
-        )
-        exact = pack_state(ieee14, newton_raphson(ieee14).state)
-        assert np.abs(res.x - exact).max() < 1e-6
 
 
 class TestDataset:

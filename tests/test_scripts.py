@@ -51,3 +51,9 @@ def test_toy_track(tmp_path):
     rows = [line.split() for line in out.splitlines() if "->" in line]
     assert len(rows) == 2 * 3
     assert sorted(r[1] for r in rows) == ["gd", "gd", "nr", "nr", "refine", "refine"]
+
+
+def test_find_toy_starts():
+    out = _run("find_toy_starts.py", "--grid", "1", "--ring", "1")
+    assert "of 1 grid points qualify" in out
+    assert "of 1 ring points qualify" in out
