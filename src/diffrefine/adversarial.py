@@ -26,7 +26,7 @@ import numpy as np
 from .diffusion import train_noise_model
 from .errors import ConfigError, DataError, NumericError
 from .guidance import RefineConfig, refine
-from .model_store import TrainedModel, read_manifest
+from .model_store import MANIFEST_VERSION, TrainedModel, read_manifest
 from .network import FeedForwardNet, NetSpec, _sigmoid
 from .numerics import Rng
 from .potentials import (
@@ -221,7 +221,7 @@ def save_tabular_dataset(ds: TabularDataset, out_dir) -> None:
     for name in ("train", "val", "test"):
         _write_split_tsv(out / f"{name}.tsv", getattr(ds, name), ds.feature_names)
     manifest = {
-        "format_version": 1,
+        "format_version": MANIFEST_VERSION,
         "kind": "tabular-dataset",
         "schema": ds.schema.to_config(),
         "seed": ds.seed,

@@ -412,7 +412,7 @@ def scenario_penalty(case, features, y_norm, ybus=None):
     trains far worse on the larger case.
     """
     from .powerflow import build_ybus
-    from .powerflow.solver import grid_residual, grid_residual_grad
+    from .powerflow.solver import grid_residual_grad
 
     features = np.asarray(features, dtype=float)
     if ybus is None:
@@ -421,9 +421,8 @@ def scenario_penalty(case, features, y_norm, ybus=None):
     def penalty(y_pred_norm, row_ids):
         x = y_norm.decode(y_pred_norm)
         rows = features[row_ids]
-        f = grid_residual(case, ybus, x, rows)
+        f, grad_phi = grid_residual_grad(case, ybus, x, rows)
         nrm = np.sqrt(np.sum(f * f, axis=1))
-        grad_phi = grid_residual_grad(case, ybus, x, rows)
         dnrm = grad_phi / (2.0 * np.maximum(nrm, 1e-12)[:, None])
         return nrm, dnrm * y_norm.std[None, :]
 

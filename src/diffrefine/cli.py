@@ -347,12 +347,13 @@ def cmd_gen_data(args) -> int:
 
     cfg = _load_config(args.config, GEN_TABULAR_DEFAULTS)
     seed = _pick_seed(cfg["seed"], args.seed, "gen-data-tabular")
+    schema = load_schema(args.schema)
     out = _prepare_out(args)
     splits = _parallel_splits(
         partial(_tabular_one_split, args.schema, cfg=cfg, seed=seed), args.workers
     )
     ds = TabularDataset(
-        schema=load_schema(args.schema),
+        schema=schema,
         train=splits["train"],
         val=splits["val"],
         test=splits["test"],

@@ -21,6 +21,7 @@ potential is evaluated in physical coordinates through the chain rule.
 
 from __future__ import annotations
 
+import statistics
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -104,16 +105,19 @@ class Trajectory:
 def descent_direction(pot: ConstraintPotential, x):
     """Unit steepest-descent direction, or None at or below GRAD_FLOOR.
 
-    Returns (delta, grad_norm).  Raises NonFiniteGradientError when the
-    gradient has non-finite entries.
+    Returns (delta, grad_norm, phi) from one evaluation of the
+    potential's value and gradient at x.  Raises NonFiniteGradientError
+    when the gradient has non-finite entries.
     """
-    g = np.asarray(pot.grad(x), dtype=float)
+    phi, g = pot.value_and_grad_batch(np.asarray(x, dtype=float)[None, :])
+    g = g[0]
     if not np.all(np.isfinite(g)):
         raise NonFiniteGradientError(f"potential gradient non-finite at {x}")
     norm = float(np.linalg.norm(g))
+    phi = float(phi[0])
     if norm <= GRAD_FLOOR:
-        return None, norm
-    return -g / norm, norm
+        return None, norm, phi
+    return -g / norm, norm, phi
 
 
 def compute_gamma(
@@ -166,8 +170,7 @@ def guided_step(
     x_prev = ddim_step(x_t, t, eps_hat, schedule, t_prev=t_prev, x0_hat=x0_hat)
     r = x0_hat - x_prev
     dist = float(np.linalg.norm(r))
-    phi = float(pot.value(x_prev))
-    delta, grad_norm = descent_direction(pot, x_prev)
+    delta, grad_norm, phi = descent_direction(pot, x_prev)
     if delta is None:
         rec = StepRecord(
             t=t, t_prev=t_prev, gamma=0.0, cos_angle=0.0, dist=dist, phi=phi,
@@ -249,7 +252,9 @@ def refine(
     for i, t in enumerate(levels):
         t_prev = levels[i + 1] if i + 1 < len(levels) else 0
         eps_hat = model.net.forward(z, t=t, cond=cond_norm)
-        clip = 10.0 * float(np.median(dists)) if len(dists) >= 3 else None
+        # statistics.median takes the same (a + b) / 2 as np.median, at a
+        # fraction of its per-call cost on a dozen floats.
+        clip = 10.0 * statistics.median(dists) if len(dists) >= 3 else None
         z, rec = guided_step(z, t, eps_hat, pot_norm, schedule, cfg, t_prev=t_prev, clip=clip)
         dists.append(rec.dist)
         if record:

@@ -21,6 +21,8 @@ from .network import FeedForwardNet, NetSpec
 from .training import Normalizer
 
 FORMAT_VERSION = 1
+# Format version of the dataset manifests read_manifest accepts.
+MANIFEST_VERSION = 1
 MODEL_ARRAYS = ("params", "x_mean", "x_std", "y_mean", "y_std")
 
 
@@ -81,6 +83,7 @@ def save_model(path, model: TrainedModel) -> None:
 def read_manifest(directory, kind: str | None = None, keys: dict | None = None) -> dict:
     """The JSON object in ``directory/manifest.json``.
 
+    Every manifest must carry "format_version" MANIFEST_VERSION.
     ``kind``, when given, must equal the manifest's "kind"; ``keys`` maps
     each key the caller reads to the type (or tuple of types) its value
     must have, booleans never standing for numbers.  Every defect is a
@@ -95,6 +98,12 @@ def read_manifest(directory, kind: str | None = None, keys: dict | None = None) 
         raise DataError(f"cannot read {path}: {exc}") from exc
     if not isinstance(doc, dict):
         raise DataError(f"{path} must hold a JSON object")
+    version = doc.get("format_version")
+    if isinstance(version, bool) or version != MANIFEST_VERSION:
+        raise DataError(
+            f"{path}: unsupported dataset format version {json.dumps(version)}, "
+            f"expected {MANIFEST_VERSION}"
+        )
     if kind is not None and doc.get("kind") != kind:
         raise DataError(f"{path}: not a {kind} manifest")
     for key, types in (keys or {}).items():

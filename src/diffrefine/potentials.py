@@ -2,8 +2,9 @@
 
 A potential measures violation of a constraint set; its zero level set
 is the feasible manifold.  Implementations expose ``value`` and
-``grad`` on single points plus batch variants, and every one of them
-is held to a finite-difference conformance check in the test suite.
+``grad`` on single points, batch variants, and a fused
+``value_and_grad_batch``; every one of them is held to a
+finite-difference conformance check in the test suite.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ import numpy as np
 
 from .errors import (
     ConfigError,
+    DataError,
     DimensionMismatchError,
     NonFiniteGradientError,
     SamplerStalledError,
@@ -36,10 +38,22 @@ class ConstraintPotential:
 
     Subclasses set ``dim`` and implement ``value`` and ``grad``; the
     batch variants fall back to a row loop unless overridden with a
-    vectorized path.  A subclass that gets both from one evaluation may
-    add ``value_and_grad(x) -> (value, gradient as a list of floats)``,
-    which must not raise on a non-finite gradient; ``gradient_descent``
-    then calls it at every trial point.
+    vectorized path.
+
+    ``value_and_grad_batch(xs) -> (phi (n,), grad (n, d))`` is what a
+    guided step calls, once per step.  The default evaluates
+    ``value_batch`` and ``grad_batch``; a potential whose value and
+    gradient share their work overrides it with one fused evaluation
+    that returns the same bits as the two separate calls.  Where the
+    formula allows, a single row runs on Python floats rather than
+    one-element arrays, since numpy's per-call overhead dominates at
+    one row.  It returns a non-finite gradient rather than raising;
+    the caller decides.
+
+    A subclass that gets both from one evaluation on a single point may
+    also add ``value_and_grad(x) -> (value, gradient as a list of
+    floats)``, which must not raise on a non-finite gradient;
+    ``gradient_descent`` then calls it at every trial point.
     """
 
     dim: int = 0
@@ -59,6 +73,9 @@ class ConstraintPotential:
         if xs.shape[0] == 0:
             return np.zeros_like(xs)
         return np.stack([self.grad(row) for row in xs])
+
+    def value_and_grad_batch(self, xs):
+        return self.value_batch(xs), self.grad_batch(xs)
 
 
 class ZeroPotential(ConstraintPotential):
@@ -121,6 +138,11 @@ class NormalizedPotential(ConstraintPotential):
         return self.scale[None, :] * self.base.grad_batch(
             self.mean[None, :] + self.scale[None, :] * zs
         )
+
+    def value_and_grad_batch(self, zs):
+        zs = np.asarray(zs, dtype=float)
+        phi, g = self.base.value_and_grad_batch(self.mean[None, :] + self.scale[None, :] * zs)
+        return phi, self.scale[None, :] * g
 
 
 # ---------------------------------------------------------------------------
@@ -376,9 +398,21 @@ class MullerBrownPotential(ConstraintPotential):
         return np.maximum(self.surface.surface_value_batch(xs) - self.zero_level, 0.0)
 
     def grad_batch(self, xs) -> np.ndarray:
+        return self._evaluate_batch(xs)[1]
+
+    def value_and_grad_batch(self, xs):
+        """One surface evaluation; a single row takes ``value_and_grad``."""
+        xs = np.asarray(xs, dtype=float)
+        if xs.shape[0] == 1:
+            v, g = self.value_and_grad(xs[0])
+            return np.array([v]), np.array([g])
+        return self._evaluate_batch(xs)
+
+    def _evaluate_batch(self, xs):
         pts = np.asarray(xs, dtype=float)
         v, gx, gy = self.surface.evaluate(pts[..., 0], pts[..., 1], _exp_batch)
-        return np.stack([gx, gy], axis=-1) * (v - self.zero_level > 0.0)[:, None]
+        v = v - self.zero_level
+        return np.maximum(v, 0.0), np.stack([gx, gy], axis=-1) * (v > 0.0)[:, None]
 
 
 def muller_brown_potential(
@@ -435,6 +469,19 @@ class RangeTerm:
     upper: float
 
 
+def _relu_float(z: float) -> float:
+    """np.maximum(z, 0.0) on a Python float: NaN stays NaN, -0.0 gives 0.0."""
+    return z if z > 0.0 or z != z else 0.0
+
+
+def _relu_array(z: np.ndarray) -> np.ndarray:
+    return np.maximum(z, 0.0)
+
+
+def _indicator_array(mask: np.ndarray) -> np.ndarray:
+    return mask.astype(float)
+
+
 class RelationalConstraintSet(ConstraintPotential):
     """Sum of squared relational violations over named features.
 
@@ -477,30 +524,70 @@ class RelationalConstraintSet(ConstraintPotential):
     def idx(self, name: str) -> int:
         return self._index[name]
 
-    def residuals_batch(self, xs) -> np.ndarray:
-        """Per-term residuals c_r for a batch, shape (n, n_terms)."""
+    def _terms_at(self, cols, relu, indicator, grad: bool):
+        """Per-term residuals c_r and, with ``grad``, the gradient of
+        sum_r c_r^2 per feature, at feature columns ``cols``.
+
+        One column per feature: Python floats for a single row, or (n,)
+        arrays with ``relu``/``indicator`` acting on arrays.  Without
+        ``grad`` the gradient is None and none of it is computed.
+        """
+        res = []
+        g = [0.0] * self.dim if grad else None
+        for term in self.terms:
+            if isinstance(term, LinearSumTerm):
+                idx = [self._index[f] for f in term.features]
+                c = sum(w * cols[i] for i, w in zip(idx, term.weights)) - term.offset
+                if grad:
+                    for i, w in zip(idx, term.weights):
+                        g[i] += 2.0 * c * w
+            elif isinstance(term, ProductTerm):
+                ir, il = self._index[term.result], self._index[term.left]
+                iright = self._index[term.right]
+                c = cols[ir] - cols[il] * cols[iright]
+                if grad:
+                    g[ir] += 2.0 * c
+                    g[il] += -2.0 * c * cols[iright]
+                    g[iright] += -2.0 * c * cols[il]
+            elif isinstance(term, OrderTerm):
+                i_s, i_l = self._index[term.smaller], self._index[term.larger]
+                z = cols[i_s] - cols[i_l]
+                c = relu(z)
+                if grad:
+                    active = indicator(z > 0.0)
+                    g[i_s] += 2.0 * c * active
+                    g[i_l] += -2.0 * c * active
+            else:  # RangeTerm; the constructor rejects any other kind
+                i_f = self._index[term.feature]
+                v = cols[i_f]
+                c = relu(v - term.upper) + relu(term.lower - v)
+                if grad:
+                    slope = indicator(v > term.upper) - indicator(v < term.lower)
+                    g[i_f] += 2.0 * c * slope
+            res.append(c)
+        return res, g
+
+    def _evaluate(self, xs, grad: bool):
+        """(residuals (n, n_terms), gradient (n, dim) or None)."""
         xs = np.asarray(xs, dtype=float)
         if xs.ndim == 1:
             xs = xs[None, :]
-        cols = []
-        for term in self.terms:
-            if isinstance(term, LinearSumTerm):
-                c = sum(
-                    w * xs[:, self.idx(f)] for f, w in zip(term.features, term.weights)
-                ) - term.offset
-            elif isinstance(term, ProductTerm):
-                c = xs[:, self.idx(term.result)] - xs[:, self.idx(term.left)] * xs[:, self.idx(term.right)]
-            elif isinstance(term, OrderTerm):
-                c = np.maximum(xs[:, self.idx(term.smaller)] - xs[:, self.idx(term.larger)], 0.0)
-            elif isinstance(term, RangeTerm):
-                v = xs[:, self.idx(term.feature)]
-                c = np.maximum(v - term.upper, 0.0) + np.maximum(term.lower - v, 0.0)
-            else:  # pragma: no cover - guarded in __init__
-                raise ValidationError(f"unknown constraint term {term!r}")
-            cols.append(np.asarray(c, dtype=float))
-        if not cols:
-            return np.zeros((xs.shape[0], 0))
-        return np.stack(cols, axis=1)
+        n = xs.shape[0]
+        if n == 1:
+            res, g = self._terms_at(xs[0].tolist(), _relu_float, float, grad)
+            return np.array([res]), None if g is None else np.array([g])
+        res, g = self._terms_at(list(xs.T), _relu_array, _indicator_array, grad)
+        r = np.stack(res, axis=1) if res else np.zeros((n, 0))
+        if g is None:
+            return r, None
+        out = np.zeros((n, self.dim))
+        for i, gi in enumerate(g):
+            out[:, i] = gi
+        return r, out
+
+    def residuals_batch(self, xs) -> np.ndarray:
+        """Per-term residuals c_r for a batch, shape (n, n_terms)."""
+        return self._evaluate(xs, grad=False)[0]
 
     def breakdown(self, x) -> np.ndarray:
         """Squared violation per term at a single point."""
@@ -516,38 +603,11 @@ class RelationalConstraintSet(ConstraintPotential):
         return self.grad_batch(np.asarray(x, dtype=float)[None, :])[0]
 
     def grad_batch(self, xs) -> np.ndarray:
-        xs = np.asarray(xs, dtype=float)
-        if xs.ndim == 1:
-            xs = xs[None, :]
-        n = xs.shape[0]
-        g = np.zeros((n, self.dim))
-        for term in self.terms:
-            if isinstance(term, LinearSumTerm):
-                c = sum(
-                    w * xs[:, self.idx(f)] for f, w in zip(term.features, term.weights)
-                ) - term.offset
-                for f, w in zip(term.features, term.weights):
-                    g[:, self.idx(f)] += 2.0 * c * w
-            elif isinstance(term, ProductTerm):
-                ir, il, iright = self.idx(term.result), self.idx(term.left), self.idx(term.right)
-                c = xs[:, ir] - xs[:, il] * xs[:, iright]
-                g[:, ir] += 2.0 * c
-                g[:, il] += -2.0 * c * xs[:, iright]
-                g[:, iright] += -2.0 * c * xs[:, il]
-            elif isinstance(term, OrderTerm):
-                i_s, i_l = self.idx(term.smaller), self.idx(term.larger)
-                z = xs[:, i_s] - xs[:, i_l]
-                c = np.maximum(z, 0.0)
-                active = (z > 0.0).astype(float)
-                g[:, i_s] += 2.0 * c * active
-                g[:, i_l] += -2.0 * c * active
-            elif isinstance(term, RangeTerm):
-                i_f = self.idx(term.feature)
-                v = xs[:, i_f]
-                c = np.maximum(v - term.upper, 0.0) + np.maximum(term.lower - v, 0.0)
-                slope = (v > term.upper).astype(float) - (v < term.lower).astype(float)
-                g[:, i_f] += 2.0 * c * slope
-        return g
+        return self._evaluate(xs, grad=True)[1]
+
+    def value_and_grad_batch(self, xs):
+        r, g = self._evaluate(xs, grad=True)
+        return np.sum(r ** 2, axis=1), g
 
     # -- declarative schema -------------------------------------------------
 
@@ -611,8 +671,14 @@ class RelationalConstraintSet(ConstraintPotential):
 
     @classmethod
     def from_json(cls, path) -> "RelationalConstraintSet":
-        with open(path, "r", encoding="utf-8") as fh:
-            return cls.from_config(json.load(fh))
+        try:
+            with open(path, "r", encoding="utf-8") as fh:
+                cfg = json.load(fh)
+        except OSError as exc:
+            raise DataError(f"cannot read schema file {path}: {exc}") from exc
+        except ValueError as exc:  # not UTF-8, or not JSON
+            raise DataError(f"schema file {path} is not valid JSON: {exc}") from exc
+        return cls.from_config(cfg)
 
 
 # ---------------------------------------------------------------------------

@@ -21,13 +21,11 @@ from pathlib import Path
 import numpy as np
 
 from ..errors import DataError, DatasetInfeasibleError, NoConvergenceError
-from ..model_store import read_manifest
+from ..model_store import MANIFEST_VERSION, read_manifest
 from ..numerics import Rng
 from .grid import BUNDLED_CASES, GridCase, case_text
 from .solver import Injections, injection_features, newton_raphson, pack_state
 from .ybus import build_ybus
-
-FORMAT_VERSION = 1
 
 # The manifest keys load_dataset reads, with the JSON types they must have.
 MANIFEST_KEYS = {
@@ -193,7 +191,7 @@ def save_dataset(ds: PowerFlowDataset, out_dir) -> None:
     if ds.case_name in BUNDLED_CASES:
         case_sha = hashlib.sha256(case_text(ds.case_name).encode()).hexdigest()
     manifest = {
-        "format_version": FORMAT_VERSION,
+        "format_version": MANIFEST_VERSION,
         "kind": "powerflow-dataset",
         "case": ds.case_name,
         "case_sha256": case_sha,
@@ -215,8 +213,6 @@ def save_dataset(ds: PowerFlowDataset, out_dir) -> None:
 def load_dataset(in_dir) -> PowerFlowDataset:
     src = Path(in_dir)
     manifest = read_manifest(src, "powerflow-dataset", MANIFEST_KEYS)
-    if manifest.get("format_version") != FORMAT_VERSION:
-        raise DataError(f"unsupported dataset format version {manifest.get('format_version')}")
     f_names = manifest["feature_names"]
     t_names = manifest["target_names"]
     splits = {}

@@ -119,7 +119,10 @@ def grid_residual(case: GridCase, ybus: YBus, xs, spec) -> np.ndarray:
 
     spec is one feature row for every state, or one row per state.
     """
-    vm, va = batch_states(case, xs)
+    return _state_residual(case, ybus, *batch_states(case, xs), spec)
+
+
+def _state_residual(case: GridCase, ybus: YBus, vm, va, spec) -> np.ndarray:
     s = complex_power(ybus, vm, va)
     spec = np.asarray(spec, dtype=float)
     k = len(case.non_slack)
@@ -128,13 +131,13 @@ def grid_residual(case: GridCase, ybus: YBus, xs, spec) -> np.ndarray:
     )
 
 
-def grid_residual_grad(case: GridCase, ybus: YBus, xs, spec) -> np.ndarray:
-    """Gradient of the squared residual norm per state, -2 JᵀF, where
-    J is the Newton Jacobian (d(residual)/dx = -J)."""
-    f = grid_residual(case, ybus, xs, spec)
+def grid_residual_grad(case: GridCase, ybus: YBus, xs, spec):
+    """(residual F, gradient of its squared norm -2 JᵀF) per state, from
+    one expansion of xs; J is the Newton Jacobian (d(residual)/dx = -J)."""
     vm, va = batch_states(case, xs)
+    f = _state_residual(case, ybus, vm, va, spec)
     jac = mismatch_jacobian_batch(case, ybus, vm, va)
-    return -2.0 * np.einsum("bij,bi->bj", jac, f)
+    return f, -2.0 * np.einsum("bij,bi->bj", jac, f)
 
 
 def _ds_dv(y_c: np.ndarray, v: np.ndarray):
@@ -260,7 +263,11 @@ class KirchhoffPotential(ConstraintPotential):
         return np.sum(f * f, axis=1)
 
     def grad_batch(self, xs) -> np.ndarray:
-        return grid_residual_grad(self.case, self.ybus, xs, self.spec)
+        return grid_residual_grad(self.case, self.ybus, xs, self.spec)[1]
+
+    def value_and_grad_batch(self, xs):
+        f, g = grid_residual_grad(self.case, self.ybus, xs, self.spec)
+        return np.sum(f * f, axis=1), g
 
     def residual(self, x) -> np.ndarray:
         """Spec minus calculated power at x, in the feature layout."""

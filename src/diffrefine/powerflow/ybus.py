@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -17,9 +18,13 @@ class YBus:
     g: np.ndarray
     b: np.ndarray
 
-    @property
+    @functools.cached_property
     def complex_matrix(self) -> np.ndarray:
-        return self.g + 1j * self.b
+        """g + jb, built on first use and kept read-only: the Newton
+        iteration and every power evaluation read it."""
+        y = self.g + 1j * self.b
+        y.flags.writeable = False
+        return y
 
     @property
     def n(self) -> int:

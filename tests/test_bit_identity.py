@@ -8,7 +8,9 @@ bundled OpenBLAS on x86-64 (a BLAS built for other hardware may round
 matrix products differently).  A merge of two copies of a formula must
 leave every one of them unchanged.  The deterministic sampling chain and
 the toy refinement trajectory were pinned before the stochastic reverse
-paths and the unused refinement knobs were removed.
+paths and the unused refinement knobs were removed.  The relational and
+Müller–Brown potentials were pinned before each got one fused value and
+gradient kernel.
 """
 
 import hashlib
@@ -38,7 +40,7 @@ from diffrefine.powerflow import (
     load_case,
     peak_mismatches,
 )
-from diffrefine.potentials import muller_brown_potential
+from diffrefine.potentials import WORKING_BOX, muller_brown_potential
 from diffrefine.training import TrainConfig
 
 
@@ -89,6 +91,8 @@ REFINE_POWER_SHA = "223a7a9446675f56870032e066cb3f64712db2edaf321a5f6e51290e9876
 PGD_SHA = "1c25a4855823d757f97801390544c9696b14eb58fe636f8bcc9cae7d96155bac"
 PENALTY_SHA = "c59240cc947baa6e112e34ad203f1fc0d14210f08968ecbe328fcd02aa9cbdbc"
 CYCLIC_SHA = "39763bf9ddb5e6832b9d7408c4057f9fc671743a4b7ca8fa0bc129af1a228b25"
+RELATIONAL_SHA = "583c6e782c988bbfc891ada1f8bf15b444e05f47fd1fc1d846e2727a3d022fd8"
+MULLER_BROWN_SHA = "32979740fe3a1c4fe4f8c1f4bb774a460af5fda5fe1ee19e014a4d11011dce11"
 
 
 def test_pinn_training(grid):
@@ -165,3 +169,38 @@ def test_cyclic_attack(tabular):
     adv, log = cyclic_attack(clf, x, y, cfg, pot, prior)
     got = [adv] + log.phi_after_pgd + log.phi_after_refine + [np.array(log.projection_binding)]
     assert _sha256(*got) == CYCLIC_SHA
+
+
+def _straddling_rows(pot, n, seed):
+    """Rows from a box a quarter span wider than the schema bounds on
+    each side, with some placed exactly on a bound or an order tie."""
+    lo, hi = pot.bounds[:, 0], pot.bounds[:, 1]
+    span = hi - lo
+    xs = lo - 0.25 * span + 1.5 * span * Rng(seed).random((n, pot.dim))
+    util = pot.idx("utilization")
+    xs[:10, util] = lo[util]
+    xs[10:20, util] = hi[util]
+    xs[20:30, pot.idx("savings")] = xs[20:30, pot.idx("income")]
+    return xs
+
+
+def test_relational_potential():
+    pot = load_schema()
+    xs = _straddling_rows(pot, 1000, 61)
+    got = [pot.residuals_batch(xs), pot.value_batch(xs), pot.grad_batch(xs)]
+    got += [np.array([pot.value(xs[i]) for i in (0, 15, 25)])]
+    got += [pot.grad(xs[i]) for i in (0, 15, 25)]
+    assert _sha256(*got) == RELATIONAL_SHA
+
+
+def test_muller_brown_potential():
+    # The pocket potential: flat rows around the global minimum, sloped
+    # rows elsewhere in the working box.
+    pot = muller_brown_potential(margin=2.0)
+    lo, hi = WORKING_BOX[:, 0], WORKING_BOX[:, 1]
+    xs = lo + (hi - lo) * Rng(62).random((1000, 2))
+    xs[:50] = np.array([-0.558, 1.442]) + 0.02 * Rng(63).normal((50, 2))
+    got = [pot.value_batch(xs), pot.grad_batch(xs)]
+    got += [np.array([pot.value(xs[i]) for i in (0, 100)])]
+    got += [pot.grad(xs[i]) for i in (0, 100)]
+    assert _sha256(*got) == MULLER_BROWN_SHA

@@ -601,6 +601,44 @@ class TestMalformedInputsFuzzed:
                         "--out", tmp / "a"]
             _assert_one_error(*_quiet_cli(*argv), 3, "DataError")
 
+    @settings(max_examples=20)
+    @given(data=st.data())
+    def test_schema_file(self, data):
+        form = data.draw(st.sampled_from(["missing", "directory", "text", "bytes"]))
+        with tempfile.TemporaryDirectory() as tmp:
+            tmp = Path(tmp)
+            schema = tmp / "schema.json"
+            if form == "directory":
+                schema.mkdir()
+            elif form == "text":
+                schema.write_text(data.draw(st.text(max_size=20).filter(_not_json)))
+            elif form == "bytes":
+                schema.write_bytes(b'{"features": ' + data.draw(
+                    st.sampled_from([b"\xff", b"\xc3\x28", b"\x80\x80"])))
+            out = tmp / "out"
+            got = _quiet_cli("gen-data", "tabular", "--schema", schema, "--out", out)
+            _assert_one_error(*got, 3, "DataError")
+            assert not out.exists()
+
+
+@pytest.mark.parametrize("version", [None, 2])
+@pytest.mark.parametrize("command", ["train-classifier", "attack"])
+def test_tabular_manifest_format_version(tab_data, tab_models, tmp_path, version, command):
+    ds = tmp_path / "ds"
+    shutil.copytree(tab_data, ds)
+    doc = json.loads((ds / "manifest.json").read_text())
+    if version is None:
+        del doc["format_version"]
+    else:
+        doc["format_version"] = version
+    (ds / "manifest.json").write_text(json.dumps(doc))
+    if command == "train-classifier":
+        argv = ["train", "classifier", "--data", ds, "--out", tmp_path / "m"]
+    else:
+        argv = ["attack", "--kind", "pgd", "--data", ds, "--model", tab_models[0],
+                "--out", tmp_path / "a"]
+    _assert_one_error(*_quiet_cli(*argv), 3, "DataError")
+
 
 @pytest.fixture(scope="module")
 def refined(workdir, pf_data, pf_models):

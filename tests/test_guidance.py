@@ -140,15 +140,16 @@ class TestComputeGamma:
 class TestDescentDirection:
     def test_unit_norm(self):
         pot = CallablePotential(2, lambda x: float(x @ x), lambda x: 2.0 * x)
-        d, gn = descent_direction(pot, np.array([3.0, 4.0]))
+        d, gn, phi = descent_direction(pot, np.array([3.0, 4.0]))
+        assert phi == 25.0
         assert np.linalg.norm(d) == pytest.approx(1.0)
         assert gn == pytest.approx(10.0)
         assert np.allclose(d, np.array([-0.6, -0.8]))
 
     def test_floor_returns_none(self):
         pot = ZeroPotential(2)
-        d, gn = descent_direction(pot, np.array([1.0, 1.0]))
-        assert d is None and gn == 0.0
+        d, gn, phi = descent_direction(pot, np.array([1.0, 1.0]))
+        assert d is None and gn == 0.0 and phi == 0.0
 
     def test_non_finite_raises(self):
         pot = CallablePotential(1, lambda x: 0.0, lambda x: np.array([np.nan]))

@@ -3,6 +3,8 @@
 import numpy as np
 import pytest
 import scipy.stats
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from diffrefine.errors import (
     ConfigError,
@@ -10,11 +12,14 @@ from diffrefine.errors import (
     ValidationError,
 )
 from diffrefine.numerics import Rng
+from diffrefine import potentials
+from diffrefine.adversarial import load_schema, sample_feasible
 from diffrefine.potentials import (
     WORKING_BOX,
     CallablePotential,
     LinearSumTerm,
     MullerBrown,
+    MullerBrownPotential,
     OrderTerm,
     ProductTerm,
     RangeTerm,
@@ -239,3 +244,251 @@ class TestSamplers:
     def test_unknown_sampler_rejected(self):
         with pytest.raises(ConfigError):
             sample_manifold_dataset(ZeroPotential(1), np.array([[0.0, 1.0]]), 5, sampler="magic")
+
+
+# ---------------------------------------------------------------------------
+# The fused value-and-gradient kernels against the per-term formulas they
+# replaced, byte for byte, on the batch path and on the single-row path.
+# ---------------------------------------------------------------------------
+
+def reference_residuals(pot, xs):
+    """Per-term residuals, one numpy expression per term."""
+    cols = []
+    for term in pot.terms:
+        if isinstance(term, LinearSumTerm):
+            c = sum(
+                w * xs[:, pot.idx(f)] for f, w in zip(term.features, term.weights)
+            ) - term.offset
+        elif isinstance(term, ProductTerm):
+            c = xs[:, pot.idx(term.result)] - xs[:, pot.idx(term.left)] * xs[:, pot.idx(term.right)]
+        elif isinstance(term, OrderTerm):
+            c = np.maximum(xs[:, pot.idx(term.smaller)] - xs[:, pot.idx(term.larger)], 0.0)
+        else:
+            v = xs[:, pot.idx(term.feature)]
+            c = np.maximum(v - term.upper, 0.0) + np.maximum(term.lower - v, 0.0)
+        cols.append(np.asarray(c, dtype=float))
+    return np.stack(cols, axis=1) if cols else np.zeros((xs.shape[0], 0))
+
+
+def reference_grad(pot, xs):
+    """Gradient of the squared residual sum, accumulated term by term."""
+    g = np.zeros((xs.shape[0], pot.dim))
+    for term in pot.terms:
+        if isinstance(term, LinearSumTerm):
+            c = sum(
+                w * xs[:, pot.idx(f)] for f, w in zip(term.features, term.weights)
+            ) - term.offset
+            for f, w in zip(term.features, term.weights):
+                g[:, pot.idx(f)] += 2.0 * c * w
+        elif isinstance(term, ProductTerm):
+            ir, il, iright = pot.idx(term.result), pot.idx(term.left), pot.idx(term.right)
+            c = xs[:, ir] - xs[:, il] * xs[:, iright]
+            g[:, ir] += 2.0 * c
+            g[:, il] += -2.0 * c * xs[:, iright]
+            g[:, iright] += -2.0 * c * xs[:, il]
+        elif isinstance(term, OrderTerm):
+            i_s, i_l = pot.idx(term.smaller), pot.idx(term.larger)
+            z = xs[:, i_s] - xs[:, i_l]
+            c = np.maximum(z, 0.0)
+            active = (z > 0.0).astype(float)
+            g[:, i_s] += 2.0 * c * active
+            g[:, i_l] += -2.0 * c * active
+        else:
+            i_f = pot.idx(term.feature)
+            v = xs[:, i_f]
+            c = np.maximum(v - term.upper, 0.0) + np.maximum(term.lower - v, 0.0)
+            slope = (v > term.upper).astype(float) - (v < term.lower).astype(float)
+            g[:, i_f] += 2.0 * c * slope
+    return g
+
+
+def _same_bytes(got, want):
+    """Same shape and bytes, signed zeros included, except that any NaN
+    matches any NaN: where two NaNs of opposite sign meet (0 * inf gives
+    a negative one on x86-64), the one that survives depends on the
+    operand order of numpy's vector loops, which Python floats need not
+    share, and no output shows a NaN's sign."""
+    got = np.asarray(got, dtype=float)
+    assert got.shape == want.shape
+    nan = np.isnan(want)
+    assert np.array_equal(np.isnan(got), nan)
+    assert got[~nan].tobytes() == want[~nan].tobytes()
+
+
+@np.errstate(invalid="ignore", over="ignore")
+def assert_relational_matches_reference(pot, xs):
+    r_ref = reference_residuals(pot, xs)
+    phi_ref = np.sum(r_ref ** 2, axis=1)
+    g_ref = reference_grad(pot, xs)
+    # Batch path: array columns, whatever the row count.
+    res, g = pot._terms_at(list(xs.T), potentials._relu_array, potentials._indicator_array, True)
+    if res:
+        _same_bytes(np.stack(res, axis=1), r_ref)
+    for i, gi in enumerate(g):
+        _same_bytes(np.broadcast_to(gi, xs.shape[:1]), g_ref[:, i])
+    # Public entry points: the batch path from two rows up, floats at one.
+    _same_bytes(pot.residuals_batch(xs), r_ref)
+    _same_bytes(pot.value_batch(xs), phi_ref)
+    _same_bytes(pot.grad_batch(xs), g_ref)
+    phi, g = pot.value_and_grad_batch(xs)
+    _same_bytes(phi, phi_ref)
+    _same_bytes(g, g_ref)
+    # Float row path, one row at a time.
+    for i in range(xs.shape[0]):
+        row = xs[i : i + 1]
+        _same_bytes(pot.residuals_batch(row), r_ref[i : i + 1])
+        phi, g = pot.value_and_grad_batch(row)
+        _same_bytes(phi, phi_ref[i : i + 1])
+        _same_bytes(g, g_ref[i : i + 1])
+        _same_bytes(pot.grad(xs[i]), g_ref[i])
+        _same_bytes([pot.value(xs[i])], phi_ref[i : i + 1])
+
+
+SPECIAL_ENTRIES = np.array([0.0, -0.0, np.inf, -np.inf, np.nan])
+
+
+def _rows_with_kinks(pot, n, rng, special_frac=0.1):
+    """Rows that straddle every range bound and order tie, with a share
+    of entries replaced by 0.0, -0.0, +-inf or NaN."""
+    xs = 3.0 * rng.normal((n, pot.dim))
+    for term in pot.terms:
+        pick = rng.random(n) < 0.2
+        zeros = rng.random(n) < 0.1  # -0.0 - 0.0 and 0.0 - 0.0 hinge arguments
+        if isinstance(term, RangeTerm):
+            edge = np.where(rng.random(n) < 0.5, term.lower, term.upper)
+            xs[pick, pot.idx(term.feature)] = edge[pick]
+            xs[zeros, pot.idx(term.feature)] = np.where(rng.random(n) < 0.5, -0.0, 0.0)[zeros]
+        elif isinstance(term, OrderTerm):
+            xs[pick, pot.idx(term.smaller)] = xs[pick, pot.idx(term.larger)]
+            xs[zeros, pot.idx(term.smaller)] = -0.0
+            xs[zeros, pot.idx(term.larger)] = np.where(rng.random(n) < 0.5, -0.0, 0.0)[zeros]
+    special = rng.random((n, pot.dim)) < special_frac
+    which = np.floor(rng.random((n, pot.dim)) * len(SPECIAL_ENTRIES)).astype(int)
+    xs[special] = SPECIAL_ENTRIES[which[special]]
+    return xs
+
+
+def kink_schema():
+    """Every case the kernel must mirror: a repeated feature in a linear
+    sum, a square (left == right), order terms, and range terms with
+    signed-zero bounds."""
+    names = ["a", "b", "c", "d"]
+    terms = [
+        LinearSumTerm(features=("a", "b", "a"), weights=(1.0, -2.0, 0.5), offset=0.25),
+        ProductTerm(result="c", left="b", right="b"),
+        ProductTerm(result="a", left="c", right="d"),
+        OrderTerm(smaller="a", larger="d"),
+        RangeTerm(feature="d", lower=-1.0, upper=2.0),
+        RangeTerm(feature="b", lower=-0.0, upper=1.0),
+        RangeTerm(feature="c", lower=-0.5, upper=0.0),
+        LinearSumTerm(features=("d",), weights=(-0.0,), offset=-0.0),
+    ]
+    return RelationalConstraintSet(names, [[-5.0, 5.0]] * 4, terms)
+
+
+_WEIGHTS = st.sampled_from([1.0, -1.0, 2.0, -0.5, 0.0, -0.0, 3.25])
+
+
+@st.composite
+def relational_schemas(draw):
+    dim = draw(st.integers(1, 5))
+    names = [f"f{i}" for i in range(dim)]
+    feature = st.sampled_from(names)
+    terms = []
+    for _ in range(draw(st.integers(0, 7))):
+        kind = draw(st.sampled_from(["linear", "product", "order", "range"]))
+        if kind == "linear":
+            feats = tuple(draw(st.lists(feature, min_size=1, max_size=4)))
+            weights = tuple(draw(_WEIGHTS) for _ in feats)
+            terms.append(LinearSumTerm(feats, weights, draw(_WEIGHTS)))
+        elif kind == "product":
+            terms.append(ProductTerm(draw(feature), draw(feature), draw(feature)))
+        elif kind == "order":
+            terms.append(OrderTerm(draw(feature), draw(feature)))
+        else:
+            lower = draw(st.sampled_from([-3.0, -0.5, -0.0, 0.0, 1.0]))
+            terms.append(RangeTerm(draw(feature), lower, lower + draw(st.sampled_from([0.5, 3.0]))))
+    return RelationalConstraintSet(names, [[-1.0, 1.0]] * dim, terms)
+
+
+class TestRelationalKernel:
+    @pytest.mark.parametrize("n", [1, 20, 1000])
+    def test_kink_schema_matches_reference(self, n):
+        pot = kink_schema()
+        assert_relational_matches_reference(pot, _rows_with_kinks(pot, n, Rng(n)))
+
+    @pytest.mark.parametrize("n", [1, 20, 1000])
+    def test_bundled_schema_matches_reference(self, n):
+        pot = load_schema()
+        assert_relational_matches_reference(pot, _rows_with_kinks(pot, n, Rng(n + 1), 0.02))
+
+    @settings(max_examples=60)
+    @given(pot=relational_schemas(), n=st.sampled_from([1, 20, 1000]), seed=st.integers(0, 2**16))
+    def test_random_schema_matches_reference(self, pot, n, seed):
+        assert_relational_matches_reference(pot, _rows_with_kinks(pot, n, Rng(seed)))
+
+    def test_value_only_callers_skip_the_gradient(self, monkeypatch):
+        # Built first: locating the surface minimum takes gradients.
+        mb = muller_brown_potential(margin=2.0)
+        schema = load_schema()
+
+        # A gradient request anywhere in these calls raises.
+        def no_gradient(*args, **kwargs):
+            raise AssertionError("a value-only caller computed a gradient")
+
+        terms_at = RelationalConstraintSet._terms_at
+        evaluate = MullerBrown.evaluate
+
+        def terms_value_only(self, cols, relu, indicator, grad):
+            if grad:
+                no_gradient()
+            return terms_at(self, cols, relu, indicator, grad)
+
+        def evaluate_value_only(self, x, y, exp=potentials._exp_point, grad=True):
+            if grad:
+                no_gradient()
+            return evaluate(self, x, y, exp, grad)
+
+        monkeypatch.setattr(RelationalConstraintSet, "_terms_at", terms_value_only)
+        monkeypatch.setattr(MullerBrown, "evaluate", evaluate_value_only)
+        for cls in (RelationalConstraintSet, MullerBrownPotential):
+            monkeypatch.setattr(cls, "grad_batch", no_gradient)
+            monkeypatch.setattr(cls, "value_and_grad_batch", no_gradient)
+        monkeypatch.setattr(MullerBrownPotential, "grad", no_gradient)
+        monkeypatch.setattr(MullerBrownPotential, "value_and_grad", no_gradient)
+
+        s = sample_manifold_dataset(mb, WORKING_BOX, 200, kT=10.0, seed=3, chains=16, burn_in=20)
+        assert mb.value_batch(s).shape == (200,)
+        rows = sample_feasible(schema, 50, Rng(4))
+        assert float(schema.value_batch(rows).max()) == 0.0
+        assert schema.value_batch(rows[:1]).shape == (1,)
+        assert schema.residuals_batch(rows[:1]).shape == (1, len(schema.terms))
+        s = sample_manifold_dataset(schema, schema.bounds, 100, kT=10.0, seed=5, chains=8, burn_in=10)
+        assert s.shape == (100, schema.dim)
+
+
+class TestFusedMullerBrown:
+    @pytest.mark.parametrize("n", [1, 20, 1000])
+    def test_matches_separate_evaluations(self, n):
+        pot = muller_brown_potential(margin=2.0)
+        lo, hi = WORKING_BOX[:, 0], WORKING_BOX[:, 1]
+        xs = lo + (hi - lo) * Rng(n).random((n, 2))
+        xs[: n // 4] = np.array([-0.558, 1.442]) + 0.02 * Rng(n + 1).normal((n // 4, 2))
+        # The batch formula, from one array evaluation of the surface.
+        v, gx, gy = pot.surface.evaluate(xs[:, 0], xs[:, 1], potentials._exp_batch)
+        phi_ref = np.maximum(v - pot.zero_level, 0.0)
+        g_ref = np.stack([gx, gy], axis=-1) * (v - pot.zero_level > 0.0)[:, None]
+        _same_bytes(pot.value_batch(xs), phi_ref)
+        _same_bytes(pot.grad_batch(xs), g_ref)
+        phi, g = pot.value_and_grad_batch(xs)
+        _same_bytes(phi, phi_ref)
+        _same_bytes(g, g_ref)
+        # One row runs the float kernel, as the point entry points do.
+        # Its flat-pocket gradient is +0.0 where the batch's masked one
+        # may be -0.0, so against the batch it is equal, not the same bytes.
+        for i in range(min(n, 20)):
+            phi, g = pot.value_and_grad_batch(xs[i : i + 1])
+            _same_bytes(phi, np.array([pot.value(xs[i])]))
+            _same_bytes(g, pot.grad(xs[i])[None, :])
+            _same_bytes(phi, phi_ref[i : i + 1])
+            assert np.array_equal(g, g_ref[i : i + 1])

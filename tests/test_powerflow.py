@@ -38,7 +38,14 @@ from diffrefine.powerflow import (
     save_dataset,
     unpack_state,
 )
-from diffrefine.powerflow.solver import flat_start
+from diffrefine.powerflow.solver import (
+    KirchhoffPotential,
+    batch_states,
+    flat_start,
+    grid_residual_grad,
+    injection_features,
+    mismatch_jacobian_batch,
+)
 
 TWO_BUS_TEXT = """
 base_mva 100.0
@@ -152,6 +159,13 @@ class TestYBus:
         y = build_ybus(case)
         assert np.allclose(y.g, 0.0, atol=1e-15)
         assert np.allclose(y.b, np.array([[-10.0, 10.0], [10.0, -10.0]]), atol=1e-12)
+
+    def test_complex_matrix_built_once(self, ieee14):
+        y = build_ybus(ieee14)
+        assert y.complex_matrix is y.complex_matrix
+        assert y.complex_matrix.tobytes() == (y.g + 1j * y.b).tobytes()
+        with pytest.raises(ValueError):
+            y.complex_matrix[0, 0] = 0.0
 
     def test_lossless_row_sums_vanish(self):
         y = build_ybus(two_bus_case())
@@ -349,6 +363,46 @@ class TestGridResidual:
         spec = Rng(11).normal(ieee14.n_unknowns)
         shared = grid_residual(ieee14, ybus, xs, spec)
         assert np.array_equal(shared, grid_residual(ieee14, ybus, xs, np.tile(spec, (5, 1))))
+
+
+def reference_kirchhoff(case, ybus, xs, spec):
+    """(phi, grad, residual) from the residual and the Jacobian each
+    built from its own expansion of the states."""
+    f = grid_residual(case, ybus, xs, spec)
+    vm, va = batch_states(case, xs)
+    jac = mismatch_jacobian_batch(case, ybus, vm, va)
+    return np.sum(f * f, axis=1), -2.0 * np.einsum("bij,bi->bj", jac, f), f
+
+
+class TestFusedKirchhoff:
+    """One expansion of the states gives the bits of the separate value,
+    gradient and residual evaluations, at every row count."""
+
+    @pytest.mark.parametrize("name", ["ieee14", "ieee30"])
+    @pytest.mark.parametrize("n", [1, 20, 1000])
+    def test_matches_separate_evaluations(self, name, n, request):
+        case = request.getfixturevalue(name)
+        ybus = build_ybus(case)
+        rng = Rng(n)
+        xs = pack_state(case, flat_start(case))[None, :] + 0.05 * rng.normal((n, case.n_unknowns))
+        nominal = injection_features(case, nominal_injections(case))
+        specs = nominal[None, :] + 0.05 * rng.normal((n, case.n_unknowns))
+
+        # Shared spec: the potential's value, gradient and fused call.
+        pot = KirchhoffPotential(case, ybus, injections_from_features(case, specs[0]))
+        phi_ref, g_ref, _ = reference_kirchhoff(case, ybus, xs, pot.spec)
+        phi, g = pot.value_and_grad_batch(xs)
+        assert phi.tobytes() == phi_ref.tobytes() and g.tobytes() == g_ref.tobytes()
+        assert pot.value_batch(xs).tobytes() == phi_ref.tobytes()
+        assert pot.grad_batch(xs).tobytes() == g_ref.tobytes()
+        for i in range(min(n, 5)):
+            phi_i, g_i = pot.value_and_grad_batch(xs[i : i + 1])
+            assert phi_i[0] == pot.value(xs[i]) and g_i[0].tobytes() == pot.grad(xs[i]).tobytes()
+
+        # One spec row per state, as the physics penalty passes them.
+        phi_ref, g_ref, f_ref = reference_kirchhoff(case, ybus, xs, specs)
+        f, g = grid_residual_grad(case, ybus, xs, specs)
+        assert f.tobytes() == f_ref.tobytes() and g.tobytes() == g_ref.tobytes()
 
 
 class TestDataset:
