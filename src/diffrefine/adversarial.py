@@ -26,7 +26,14 @@ import numpy as np
 from .diffusion import train_noise_model
 from .errors import ConfigError, DataError, NumericError
 from .guidance import RefineConfig, refine
-from .model_store import MANIFEST_VERSION, TrainedModel, read_manifest
+from .model_store import (
+    MANIFEST_VERSION,
+    TrainedModel,
+    read_manifest,
+    read_table,
+    write_manifest,
+    write_table,
+)
 from .network import FeedForwardNet, NetSpec, _sigmoid
 from .numerics import Rng
 from .potentials import (
@@ -183,43 +190,12 @@ def generate_tabular_dataset(
     )
 
 
-def _write_split_tsv(path: Path, split: TabularSplit, names) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\t".join(list(names) + ["label"]) + "\n")
-        for row, lab in zip(split.features, split.labels):
-            fh.write("\t".join(repr(float(v)) for v in row) + f"\t{int(lab)}\n")
-
-
-def _read_split_tsv(path: Path, names) -> TabularSplit:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            header = fh.readline().rstrip("\n").split("\t")
-            rows = [line.rstrip("\n").split("\t") for line in fh]
-    except OSError as exc:
-        raise DataError(f"cannot read {path}: {exc}") from exc
-    except UnicodeDecodeError as exc:
-        raise DataError(f"{path.name}: not UTF-8 text: {exc}") from exc
-    if header != list(names) + ["label"]:
-        raise DataError(f"unexpected columns in {path}")
-    feats, labs = [], []
-    for lineno, parts in enumerate(rows, start=2):
-        if len(parts) != len(header):
-            raise DataError(f"{path.name} line {lineno}: row width does not match header")
-        try:
-            feats.append([float(v) for v in parts[:-1]])
-            labs.append(int(parts[-1]))
-        except ValueError as exc:
-            raise DataError(f"{path.name} line {lineno}: non-numeric cell: {exc}") from exc
-        if not np.all(np.isfinite(feats[-1])):
-            raise DataError(f"{path.name} line {lineno}: non-finite feature value")
-    return TabularSplit(features=np.array(feats), labels=np.array(labs, dtype=int))
-
-
 def save_tabular_dataset(ds: TabularDataset, out_dir) -> None:
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     for name in ("train", "val", "test"):
-        _write_split_tsv(out / f"{name}.tsv", getattr(ds, name), ds.feature_names)
+        split = getattr(ds, name)
+        write_table(out / f"{name}.tsv", ds.feature_names, split.features, split.labels)
     manifest = {
         "format_version": MANIFEST_VERSION,
         "kind": "tabular-dataset",
@@ -233,9 +209,7 @@ def save_tabular_dataset(ds: TabularDataset, out_dir) -> None:
             "test": int(ds.test.labels.size),
         },
     }
-    with open(out / "manifest.json", "w", encoding="utf-8") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_manifest(out / "manifest.json", manifest)
 
 
 def load_tabular_dataset(in_dir) -> TabularDataset:
@@ -248,7 +222,10 @@ def load_tabular_dataset(in_dir) -> TabularDataset:
         schema = RelationalConstraintSet.from_config(manifest["schema"])
     except (ConfigError, NumericError) as exc:
         raise DataError(f"{src / 'manifest.json'}: malformed schema: {exc}") from exc
-    splits = {n: _read_split_tsv(src / f"{n}.tsv", schema.feature_names) for n in ("train", "val", "test")}
+    splits = {}
+    for name in ("train", "val", "test"):
+        features, labels = read_table(src / f"{name}.tsv", schema.feature_names, labels=True)
+        splits[name] = TabularSplit(features=features, labels=labels)
     return TabularDataset(
         schema=schema,
         train=splits["train"],

@@ -1,11 +1,12 @@
 """Command-line front end for every experiment track.
 
 One executable with subcommands for data generation, training,
-refinement, the power-flow solver, attacks, the toy landscape
-comparison, and timing benchmarks.  Every run that writes a directory
-leaves a manifest describing the exact configuration, the seeds, the
-package version, and content hashes of its inputs, so artifacts can
-be traced and reproduced byte for byte.
+refinement, the power-flow solver, attacks, and the toy landscape
+comparison.  Every run that writes a directory leaves a manifest
+describing the exact configuration, the seeds, the package version,
+and content hashes of its inputs, so artifacts can be traced and
+reproduced byte for byte.  Timing lives in one harness,
+``perfbench/run.py``.
 
 Randomness flows from one ``--seed`` value: each consumer derives its
 own stream as sha256("<seed>:<purpose>"), so tracks stay independent
@@ -38,6 +39,7 @@ from .errors import (
     NoConvergenceError,
     NumericError,
 )
+from .model_store import load_model, read_manifest, save_model, write_manifest
 
 # ---------------------------------------------------------------------------
 # Defaults, printable via --print-config.
@@ -93,8 +95,6 @@ ATTACK_DEFAULTS = {
     "start_step": None, "lam": 1.0, "seed": None,
     "mu": 10.0, "max_samples": 500,
 }
-
-BENCH_DEFAULTS = {"n": 100}
 
 
 def refine_defaults() -> dict:
@@ -205,35 +205,29 @@ def _prepare_out(args) -> Path:
     return out
 
 
-def _write_manifest(out: Path, command: str, config: dict, seeds: dict, inputs: dict) -> None:
-    doc = {
-        "kind": "run-manifest",
+def _provenance(command: str, config: dict, seeds: dict, inputs: dict) -> dict:
+    return {
         "command": command,
         "version": __version__,
         "config": config,
         "seeds": seeds,
         "inputs": _input_hashes(inputs),
     }
-    (out / "manifest.json").write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+
+
+def _write_run_manifest(out: Path, command: str, config: dict, seeds: dict, inputs: dict) -> None:
+    doc = {"kind": "run-manifest", **_provenance(command, config, seeds, inputs)}
+    write_manifest(out / "manifest.json", doc)
 
 
 def _merge_cli_manifest(out: Path, command: str, config: dict, seeds: dict, inputs: dict) -> None:
     """Fold run provenance into a manifest a dataset writer produced."""
-    path = out / "manifest.json"
-    doc = json.loads(path.read_text())
-    doc["cli"] = {
-        "command": command,
-        "version": __version__,
-        "config": config,
-        "seeds": seeds,
-        "inputs": _input_hashes(inputs),
-    }
-    path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+    doc = read_manifest(out)
+    doc["cli"] = _provenance(command, config, seeds, inputs)
+    write_manifest(out / "manifest.json", doc)
 
 
 def _dataset_kind(data_dir) -> str:
-    from .model_store import read_manifest
-
     return read_manifest(data_dir, keys={"kind": str})["kind"]
 
 
@@ -288,14 +282,10 @@ def _tabular_one_split(schema_path, which: str, cfg: dict, seed: int):
 def _parallel_splits(worker, workers: int):
     """Run the three split draws concurrently; each split's stream is
     derived independently, so the artifacts match the sequential run."""
-    names = ("train", "val", "test")
-    if workers == 1:
-        return {name: worker(name) for name in names}
-    import concurrent.futures
+    from .numerics import run_in_processes
 
-    with concurrent.futures.ProcessPoolExecutor(max_workers=min(workers, 3)) as pool:
-        futures = {name: pool.submit(worker, name) for name in names}
-        return {name: fut.result() for name, fut in futures.items()}
+    names = ("train", "val", "test")
+    return dict(zip(names, run_in_processes([partial(worker, n) for n in names], workers)))
 
 
 def cmd_gen_data(args) -> int:
@@ -380,7 +370,6 @@ def cmd_train(args) -> int:
         return _print_config(TRAIN_DEFAULTS[args.kind])
     if args.data is None:
         raise ConfigError("--data is required")
-    from .model_store import save_model
     from .training import TrainConfig
 
     data_kind = _dataset_kind(args.data)
@@ -452,22 +441,13 @@ def cmd_train(args) -> int:
     path = _model_path(args.out)
     path.parent.mkdir(parents=True, exist_ok=True)
     save_model(path, model)
-    manifest = path.with_suffix(".manifest.json")
-    manifest.write_text(
-        json.dumps(
-            {
-                "kind": "model-manifest",
-                "command": f"train {args.kind}",
-                "version": __version__,
-                "config": cfg,
-                "seeds": {"master": args.seed, "derived": {"train": seed}},
-                "inputs": _input_hashes({"config": args.config, "data": args.data}),
-                "model": path.name,
-            },
-            indent=2,
-            sort_keys=True,
-        )
-        + "\n"
+    provenance = _provenance(
+        f"train {args.kind}", cfg, {"master": args.seed, "derived": {"train": seed}},
+        {"config": args.config, "data": args.data},
+    )
+    write_manifest(
+        path.with_suffix(".manifest.json"),
+        {"kind": "model-manifest", **provenance, "model": path.name},
     )
     final = float(model.loss_history[-1]) if len(model.loss_history) else float("nan")
     print(f"wrote {path} (final loss {final:.6g})")
@@ -483,7 +463,6 @@ def cmd_refine(args) -> int:
         return _print_config(refine_defaults())
     from .baselines import refine_power_batch
     from .guidance import RefineConfig, refine
-    from .model_store import load_model
     from .powerflow import (
         build_ybus,
         evaluate,
@@ -541,7 +520,7 @@ def cmd_refine(args) -> int:
                 "\n".join(res.trajectory.to_lines()) + "\n"
             )
 
-    _write_manifest(
+    _write_run_manifest(
         out, "refine", cfg.to_config() | {"split": args.split, "dump": args.dump},
         {"master": args.seed, "derived": {}},
         {"config": args.config, "data": args.data, "model": args.model, "eps": args.eps},
@@ -660,7 +639,6 @@ def cmd_attack(args) -> int:
         load_tabular_dataset,
         write_attack_artifacts,
     )
-    from .model_store import load_model
 
     if args.data is None:
         raise ConfigError("--data is required")
@@ -686,7 +664,7 @@ def cmd_attack(args) -> int:
         pot=ds.schema, max_samples=max_samples,
     )
     write_attack_artifacts(out, reports)
-    _write_manifest(
+    _write_run_manifest(
         out, f"attack {args.kind}",
         cfg.to_config() | {"mu": mu, "max_samples": max_samples},
         {"master": args.seed, "derived": {"attack": cfg.seed}},
@@ -737,7 +715,7 @@ def cmd_toy(args) -> int:
         (traj_dir / f"row_{i:03d}_{row.method}.tsv").write_text(
             "\n".join(row.trajectory_lines) + "\n"
         )
-    _write_manifest(
+    _write_run_manifest(
         out, "toy", demo, {"master": args.seed, "derived": {}},
         {"starts": args.starts},
     )
@@ -747,178 +725,6 @@ def cmd_toy(args) -> int:
     print(f"wrote {out} ({len(flat)} starts)")
     for method, got in labels.items():
         print(f"  {method}: " + ", ".join(got))
-    return 0
-
-
-# ---------------------------------------------------------------------------
-# bench
-# ---------------------------------------------------------------------------
-
-def _median_ms(fn, count: int) -> float:
-    fn(0)  # warm call, excluded
-    times = np.empty(count)
-    for i in range(count):
-        t0 = time.perf_counter()
-        fn(i)
-        times[i] = time.perf_counter() - t0
-    return float(np.median(times) * 1e3)
-
-
-def _bench_pf(n: int, seed: int) -> list:
-    from .baselines import (
-        POWER_REFINE,
-        refine_power_batch,
-        train_power_estimator,
-        train_power_prior,
-    )
-    from .powerflow import (
-        build_ybus,
-        generate_dataset,
-        injections_from_features,
-        load_case,
-        newton_raphson,
-    )
-    from .training import TrainConfig
-
-    case = load_case("ieee14")
-    ybus = build_ybus(case)
-    ds = generate_dataset(case, 150, 40, 80, seed=seed)
-    base = train_power_estimator(
-        case, ds, cfg=TrainConfig(epochs=30, batch_size=64, lr=1e-3, seed=101, loss="mse")
-    )
-    prior = train_power_prior(
-        case, ds, cfg=TrainConfig(epochs=60, batch_size=64, lr=1e-3, seed=77, loss="eps")
-    )
-    feats = ds.test.features
-    preds = base.predict(feats)
-    m = feats.shape[0]
-
-    rows = []
-    rows.append(
-        ("forward", _median_ms(lambda i: base.predict(feats[i % m : i % m + 1]), n), n)
-    )
-    rows.append(
-        (
-            "newton",
-            _median_ms(
-                lambda i: newton_raphson(
-                    case, ybus, injections_from_features(case, feats[i % m])
-                ),
-                n,
-            ),
-            n,
-        )
-    )
-    rows.append(
-        (
-            "refine",
-            _median_ms(
-                lambda i: refine_power_batch(
-                    case, prior, preds[i % m : i % m + 1], feats[i % m : i % m + 1],
-                    cfg=POWER_REFINE, ybus=ybus,
-                ),
-                n,
-            ),
-            n,
-        )
-    )
-    return rows
-
-
-def _bench_attack(n: int, seed: int) -> list:
-    from .adversarial import (
-        AttackConfig,
-        cyclic_attack,
-        generate_tabular_dataset,
-        load_schema,
-        pgd_attack,
-        train_feasible_prior,
-        train_tabular_classifier,
-    )
-    from .diffusion import make_schedule
-    from .training import TrainConfig
-
-    pot = load_schema()
-    ds = generate_tabular_dataset(pot, 600, 150, 300, seed=seed)
-    model = train_tabular_classifier(
-        ds, cfg=TrainConfig(epochs=60, batch_size=128, lr=1e-3, seed=11, loss="bce")
-    )
-    prior = train_feasible_prior(
-        ds,
-        make_schedule(60, 1e-4, 0.03),
-        cfg=TrainConfig(epochs=20, batch_size=256, lr=1e-3, seed=17, loss="eps"),
-    )
-    cfg = AttackConfig()
-    x, y = ds.test.features, ds.test.labels
-    m = x.shape[0]
-    rows = []
-    rows.append(
-        (
-            "pgd",
-            _median_ms(
-                lambda i: pgd_attack(model, x[i % m : i % m + 1], y[i % m : i % m + 1], cfg, pot),
-                n,
-            ),
-            n,
-        )
-    )
-    rows.append(
-        (
-            "cyclic",
-            _median_ms(
-                lambda i: cyclic_attack(
-                    model, x[i % m : i % m + 1], y[i % m : i % m + 1], cfg, pot, prior
-                ),
-                n,
-            ),
-            n,
-        )
-    )
-    return rows
-
-
-def _bench_toy(n: int, seed: int) -> list:
-    from .baselines import build_toy_setup, gradient_descent, newton_raphson_scalar
-
-    pot, model, refine_cfg, starts = build_toy_setup()
-    from .guidance import refine
-
-    pool = np.concatenate([starts[name] for name in sorted(starts)])
-    m = pool.shape[0]
-    rows = []
-    rows.append(
-        (
-            "gd",
-            _median_ms(
-                lambda i: gradient_descent(pot, pool[i % m], step=1e-4, iters=2000), n
-            ),
-            n,
-        )
-    )
-    rows.append(
-        ("nr", _median_ms(lambda i: newton_raphson_scalar(pot, pool[i % m]), n), n)
-    )
-    rows.append(
-        (
-            "refine",
-            _median_ms(lambda i: refine(pool[i % m], pot, model, refine_cfg, record=False), n),
-            n,
-        )
-    )
-    return rows
-
-
-def cmd_bench(args) -> int:
-    if args.print_config:
-        return _print_config(BENCH_DEFAULTS)
-    if args.n < 1:
-        raise ConfigError("--n must be at least 1")
-    seed = derive_seed(args.seed, f"bench-{args.track}")
-    runner = {"pf": _bench_pf, "attack": _bench_attack, "toy": _bench_toy}[args.track]
-    rows = runner(args.n, seed)
-    print("op\tmedian_ms\tn")
-    for name, ms, count in rows:
-        print(f"{name}\t{ms:.3f}\t{count}")
     return 0
 
 
@@ -983,12 +789,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--starts", default=None, help="JSON start groups")
     p.add_argument("--out", default=None)
     p.add_argument("--seed", type=int, default=0)
-
-    p = sub.add_parser("bench", help="per-instance timing medians")
-    p.add_argument("--track", choices=["pf", "attack", "toy"], required=True)
-    p.add_argument("--n", type=int, default=BENCH_DEFAULTS["n"])
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--print-config", action="store_true")
     return parser
 
 
@@ -999,7 +799,6 @@ _HANDLERS = {
     "solve-pf": cmd_solve_pf,
     "attack": cmd_attack,
     "toy": cmd_toy,
-    "bench": cmd_bench,
 }
 
 
@@ -1012,6 +811,8 @@ def _fail(code: int, exc: Exception) -> int:
 def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
+        if getattr(args, "workers", 1) < 1:
+            raise ConfigError("--workers must be at least 1")
     except ConfigError as exc:
         return _fail(2, exc)
     try:

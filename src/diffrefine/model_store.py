@@ -1,15 +1,22 @@
-"""Trained-model artifacts and their on-disk format, and the reader of
-dataset manifests.
+"""Trained-model artifacts and their on-disk format, and the on-disk
+format of datasets and manifests.
 
 A model file is a numpy .npz archive: a JSON header string (format
 version, kind, architecture, train config, seed, extras) plus raw
 float64 arrays for parameters and normalization statistics.  Arrays
 round-trip bit-exactly.
+
+A dataset is a directory of one tab-separated table per split and a
+manifest.json.  A table's first line names its columns; each float is
+written as its shortest round-tripping repr, so it reads back to the
+bit.  Every manifest, of a dataset, a model or a run, is pretty-printed
+JSON with sorted keys.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import zipfile
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -78,6 +85,65 @@ def save_model(path, model: TrainedModel) -> None:
     for k in header["extra_arrays"]:
         arrays[f"extra_{k}"] = np.asarray(model.extra[k], dtype=float)
     np.savez(path, **arrays)
+
+
+def write_manifest(path, doc: dict) -> None:
+    """``doc`` as the layout of every manifest: indented JSON, keys sorted."""
+    Path(path).write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+
+
+def write_table(path, names, values, labels=None) -> None:
+    """One split as a table: columns ``names`` over the float rows of
+    ``values``, then an integer "label" column when ``labels`` is given."""
+    header = list(names) + (["label"] if labels is not None else [])
+    rows = np.asarray(values, dtype=float).tolist()
+    tails = [""] * len(rows) if labels is None else [f"\t{int(v)}" for v in labels]
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write("\t".join(header) + "\n")
+        for row, tail in zip(rows, tails):
+            fh.write("\t".join(map(repr, row)) + tail + "\n")
+
+
+def read_table(path, names, labels: bool = False):
+    """A table write_table wrote: the float columns as an
+    (n, len(names)) array, even for n = 0, and the "label" column as an
+    (n,) int array when ``labels`` is set (else None).
+
+    The header must list exactly ``names`` (then "label").  Every defect
+    is a DataError naming the line: undecodable bytes, a wrong header, a
+    row of the wrong width (a blank line, as every table has two or more
+    columns), a cell that does not parse, a non-finite float.
+    """
+    path = Path(path)
+    header = list(names) + (["label"] if labels else [])
+    try:
+        lines = path.read_bytes().splitlines()
+    except OSError as exc:
+        raise DataError(f"cannot read {path}: {exc}") from exc
+    rows, label_cells = [], []
+    # An empty file reads as one empty header line.
+    for lineno, raw in enumerate(lines or [b""], start=1):
+        where = f"{path.name} line {lineno}"
+        try:
+            cells = raw.decode("utf-8").split("\t")
+        except UnicodeDecodeError as exc:
+            raise DataError(f"{where}: not UTF-8 text: {exc}") from exc
+        if lineno == 1:
+            if cells != header:
+                raise DataError(f"{where}: columns do not match the manifest")
+            continue
+        if len(cells) != len(header):
+            raise DataError(f"{where}: row width does not match header")
+        try:
+            rows.append([float(v) for v in cells[: len(names)]])
+            if labels:
+                label_cells.append(int(cells[-1]))
+        except ValueError as exc:
+            raise DataError(f"{where}: non-numeric cell: {exc}") from exc
+        if not all(map(math.isfinite, rows[-1])):
+            raise DataError(f"{where}: non-finite cell")
+    values = np.array(rows, dtype=float).reshape(len(rows), len(names))
+    return values, (np.array(label_cells, dtype=int) if labels else None)
 
 
 def read_manifest(directory, kind: str | None = None, keys: dict | None = None) -> dict:

@@ -1,5 +1,5 @@
-"""Dense linear algebra, derivative probes, seeded randomness, and a
-row-chunk process pool.
+"""Dense linear algebra, derivative probes, seeded randomness, and the
+process pool.
 
 Everything numeric downstream funnels through here so the error
 contracts (finiteness checks, singularity thresholds, seed handling)
@@ -11,6 +11,7 @@ values instead of letting NaNs propagate silently.
 from __future__ import annotations
 
 import hashlib
+from functools import partial
 from typing import Callable
 
 import numpy as np
@@ -182,6 +183,19 @@ class Rng:
         return f"Rng(seed={self.seed})"
 
 
+def run_in_processes(calls, workers: int) -> list:
+    """The results of ``calls`` (picklable callables taking no
+    arguments) in order, run in at most ``workers`` worker processes,
+    or here one after another when workers is 1."""
+    if workers == 1:
+        return [call() for call in calls]
+    import concurrent.futures
+
+    with concurrent.futures.ProcessPoolExecutor(max_workers=min(workers, len(calls))) as pool:
+        futures = [pool.submit(call) for call in calls]
+        return [fut.result() for fut in futures]
+
+
 def map_row_chunks(fn, arrays, workers: int) -> np.ndarray:
     """``fn(*arrays)`` with the rows split into ``workers`` contiguous
     chunks, one worker process each; the results are stacked in row
@@ -190,12 +204,9 @@ def map_row_chunks(fn, arrays, workers: int) -> np.ndarray:
     n = arrays[0].shape[0]
     if workers == 1 or n < 2 * workers:
         return fn(*arrays)
-    import concurrent.futures
-
     chunks = np.array_split(np.arange(n), workers)
+    parts = run_in_processes([partial(fn, *(a[c] for a in arrays)) for c in chunks], workers)
     out = np.empty_like(arrays[0])
-    with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
-        futures = [pool.submit(fn, *(a[c] for a in arrays)) for c in chunks]
-        for c, fut in zip(chunks, futures):
-            out[c] = fut.result()
+    for c, part in zip(chunks, parts):
+        out[c] = part
     return out

@@ -1,4 +1,4 @@
-"""Scenario dataset generation and its on-disk TSV + manifest format.
+"""Scenario dataset generation, saving and loading.
 
 Each sample scales every load by an independent uniform factor in
 [1-spread, 1+spread], rescales generator active power by the total
@@ -14,14 +14,19 @@ discarded and redrawn; a failure share above one half aborts.
 from __future__ import annotations
 
 import hashlib
-import json
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from ..errors import DataError, DatasetInfeasibleError, NoConvergenceError
-from ..model_store import MANIFEST_VERSION, read_manifest
+from ..model_store import (
+    MANIFEST_VERSION,
+    read_manifest,
+    read_table,
+    write_manifest,
+    write_table,
+)
 from ..numerics import Rng
 from .grid import BUNDLED_CASES, GridCase, case_text
 from .solver import Injections, injection_features, newton_raphson, pack_state
@@ -149,44 +154,13 @@ def generate_dataset(
     )
 
 
-def _write_tsv(path: Path, names: list, features: np.ndarray, targets: np.ndarray) -> None:
-    with path.open("w") as fh:
-        fh.write("\t".join(names) + "\n")
-        for f_row, t_row in zip(features, targets):
-            row = np.concatenate([f_row, t_row])
-            fh.write("\t".join(repr(float(v)) for v in row) + "\n")
-
-
-def _read_tsv(path: Path, n_features: int):
-    try:
-        with path.open(encoding="utf-8") as fh:
-            header = fh.readline().rstrip("\n").split("\t")
-            rows = [line.rstrip("\n").split("\t") for line in fh if line.strip()]
-    except OSError as exc:
-        raise DataError(f"cannot read {path}: {exc}") from exc
-    except UnicodeDecodeError as exc:
-        raise DataError(f"{path.name}: not UTF-8 text: {exc}") from exc
-    if any(len(row) != len(header) for row in rows):
-        raise DataError(f"{path.name}: row width does not match header")
-    try:
-        data = np.array([[float(v) for v in row] for row in rows]) if rows else np.empty(
-            (0, len(header))
-        )
-    except ValueError as exc:
-        raise DataError(f"{path.name}: non-numeric cell: {exc}") from exc
-    bad = np.argwhere(~np.isfinite(data))
-    if bad.size:
-        raise DataError(f"{path.name} line {bad[0][0] + 2}: non-finite cell")
-    return header, data[:, :n_features], data[:, n_features:]
-
-
 def save_dataset(ds: PowerFlowDataset, out_dir) -> None:
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     names = ds.feature_names + ds.target_names
     for split_name in ("train", "val", "test"):
         split = getattr(ds, split_name)
-        _write_tsv(out / f"{split_name}.tsv", names, split.features, split.targets)
+        write_table(out / f"{split_name}.tsv", names, np.hstack((split.features, split.targets)))
     case_sha = None
     if ds.case_name in BUNDLED_CASES:
         case_sha = hashlib.sha256(case_text(ds.case_name).encode()).hexdigest()
@@ -207,7 +181,7 @@ def save_dataset(ds: PowerFlowDataset, out_dir) -> None:
         "feature_names": ds.feature_names,
         "target_names": ds.target_names,
     }
-    (out / "manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+    write_manifest(out / "manifest.json", manifest)
 
 
 def load_dataset(in_dir) -> PowerFlowDataset:
@@ -217,10 +191,9 @@ def load_dataset(in_dir) -> PowerFlowDataset:
     t_names = manifest["target_names"]
     splits = {}
     for split_name in ("train", "val", "test"):
-        header, feats, targs = _read_tsv(src / f"{split_name}.tsv", len(f_names))
-        if header != f_names + t_names:
-            raise DataError(f"{split_name}.tsv columns do not match the manifest")
-        splits[split_name] = Split(features=feats, targets=targs)
+        data, _ = read_table(src / f"{split_name}.tsv", f_names + t_names)
+        k = len(f_names)
+        splits[split_name] = Split(features=data[:, :k], targets=data[:, k:])
     return PowerFlowDataset(
         case_name=manifest["case"],
         base_mva=manifest["base_mva"],

@@ -10,10 +10,13 @@ leave every one of them unchanged.  The deterministic sampling chain and
 the toy refinement trajectory were pinned before the stochastic reverse
 paths and the unused refinement knobs were removed.  The relational and
 Müller–Brown potentials were pinned before each got one fused value and
-gradient kernel.
+gradient kernel.  The files the command line writes (dataset tables and
+manifests, a model manifest, run manifests) were pinned before dataset
+tables and manifests got one reader and one writer.
 """
 
 import hashlib
+import json
 
 import numpy as np
 import pytest
@@ -29,6 +32,7 @@ from diffrefine.adversarial import (
     train_tabular_classifier,
 )
 from diffrefine.baselines import refine_power_batch, train_power_pinn, train_power_prior
+from diffrefine.cli import main
 from diffrefine.diffusion import generate, make_schedule, train_noise_model
 from diffrefine.guidance import RefineConfig, refine
 from diffrefine.numerics import Rng
@@ -93,6 +97,19 @@ PENALTY_SHA = "c59240cc947baa6e112e34ad203f1fc0d14210f08968ecbe328fcd02aa9cbdbc"
 CYCLIC_SHA = "39763bf9ddb5e6832b9d7408c4057f9fc671743a4b7ca8fa0bc129af1a228b25"
 RELATIONAL_SHA = "583c6e782c988bbfc891ada1f8bf15b444e05f47fd1fc1d846e2727a3d022fd8"
 MULLER_BROWN_SHA = "32979740fe3a1c4fe4f8c1f4bb774a460af5fda5fe1ee19e014a4d11011dce11"
+CLI_FILE_SHA = {
+    "pf/train.tsv": "2319172b9d1c682909ca57517c7bff959b964b78e892f3f63de9a94574a4fe63",
+    "pf/val.tsv": "3beee7a95df85e811319813c608c8770c245177643659526160dbc44111aaada",
+    "pf/test.tsv": "c5574f79d7a30a057097e13abd54906b59bf4110bb8161d5999c695fca55983b",
+    "pf/manifest.json": "e51ddeb05e30787225f8d3e8286dabe3a152e150ef11270fcc823c4e6c33ccf9",
+    "tab/train.tsv": "81e1fc062de95c385a45f73919b98c4730d525a6b219945e13aad7e533ee2b83",
+    "tab/val.tsv": "289bdd2f40aa5a8b8893da8c014327616c0aba6d4502d3a5dcb7c72825d2b679",
+    "tab/test.tsv": "692b6bfc0910f7323c0b454b004dcaf7c7aa1bad8c53f5000ba561dba3bb0710",
+    "tab/manifest.json": "db59d3f45c039c6544eebb4ca15b8b0f94beac43a231afb1fadd055badd57444",
+    "base.manifest.json": "993b34a35e76443fcd8215fa23132d68380fa04fc76c3004f6104f73e8a203dc",
+    "refine/manifest.json": "d6d2927a7414945d89bc9ddd443785b2807cb69d5b612d8531f90cc18f400f53",
+    "attack/manifest.json": "a832f581e66cf29fa6780bda9a9b4f366a2ae9a4c8f60bccb5d14b9d474f0448",
+}
 
 
 def test_pinn_training(grid):
@@ -204,3 +221,41 @@ def test_muller_brown_potential():
     got += [np.array([pot.value(xs[i]) for i in (0, 100)])]
     got += [pot.grad(xs[i]) for i in (0, 100)]
     assert _sha256(*got) == MULLER_BROWN_SHA
+
+
+@pytest.fixture(scope="module")
+def cli_runs(tmp_path_factory):
+    """Directory of small seeded gen-data, train, refine and attack runs."""
+    root = tmp_path_factory.mktemp("pinned_cli")
+
+    def config(name, doc):
+        path = root / name
+        path.write_text(json.dumps(doc))
+        return str(path)
+
+    small = {"epochs": 2, "hidden": [8, 8]}
+    schedule = {"T": 20, "beta_min": 1e-4, "beta_max": 0.02}
+    runs = [
+        ["gen-data", "pf", "--case", "ieee14", "--seed", "3", "--out", root / "pf",
+         "--config", config("pf.json", {"n_train": 24, "n_val": 6, "n_test": 8})],
+        ["gen-data", "tabular", "--seed", "4", "--out", root / "tab",
+         "--config", config("tab.json", {"n_train": 60, "n_val": 10, "n_test": 20})],
+        ["train", "base", "--data", root / "pf", "--out", root / "base.npz",
+         "--config", config("base.json", small)],
+        ["train", "eps", "--data", root / "pf", "--out", root / "eps.npz",
+         "--config", config("eps.json", small | {"schedule": schedule})],
+        ["refine", "--model", root / "base.npz", "--eps", root / "eps.npz", "--data", root / "pf",
+         "--dump", "0", "--out", root / "refine"],
+        ["train", "classifier", "--data", root / "tab", "--out", root / "clf.npz",
+         "--config", config("clf.json", small)],
+        ["attack", "--kind", "pgd", "--data", root / "tab", "--model", root / "clf.npz",
+         "--out", root / "attack"],
+    ]
+    for argv in runs:
+        assert main([str(a) for a in argv]) == 0, argv
+    return root
+
+
+@pytest.mark.parametrize("name", sorted(CLI_FILE_SHA))
+def test_cli_files(cli_runs, name):
+    assert hashlib.sha256((cli_runs / name).read_bytes()).hexdigest() == CLI_FILE_SHA[name]

@@ -9,6 +9,7 @@ import contextlib
 import io
 import json
 import math
+import os
 import shutil
 import subprocess
 import sys
@@ -116,7 +117,6 @@ class TestPrintConfig:
             ("train", "classifier", "--print-config"),
             ("refine", "--model", "x", "--eps", "y", "--data", "z", "--print-config"),
             ("attack", "--kind", "cyclic", "--print-config"),
-            ("bench", "--track", "pf", "--print-config"),
         ],
     )
     def test_prints_json_defaults(self, capsys, argv):
@@ -162,6 +162,25 @@ class TestGenData:
         doc = json.loads((out / "manifest.json").read_text())
         assert doc["seed"] == 5
         assert doc["cli"]["seeds"]["derived"]["dataset"] == 5
+
+    def test_empty_tabular_split_trains(self, tmp_path):
+        from diffrefine.adversarial import (
+            generate_tabular_dataset,
+            load_schema,
+            load_tabular_dataset,
+        )
+
+        cfg = write_json(tmp_path / "gen.json", {"n_train": 60, "n_val": 0, "n_test": 20})
+        data = tmp_path / "tab"
+        assert _quiet_cli("gen-data", "tabular", "--config", cfg, "--out", data) == (0, [""])
+        clf_cfg = write_json(tmp_path / "clf.json", {"epochs": 2})
+        got = _quiet_cli("train", "classifier", "--data", data, "--config", clf_cfg,
+                         "--out", tmp_path / "clf.npz")
+        assert got == (0, [""])
+        in_memory = generate_tabular_dataset(load_schema(), 60, 0, 20).val
+        assert (in_memory.features.shape, in_memory.labels.shape) == ((0, 12), (0,))
+        val = load_tabular_dataset(data).val
+        assert (val.features.shape, val.labels.shape) == ((0, 12), (0,))
 
     def test_tabular_dataset_loads(self, tab_data):
         from diffrefine.adversarial import load_tabular_dataset
@@ -331,6 +350,28 @@ class TestMalformedInputs:
         models[which] = _write_model(tmp_path / "bad.npz", header, arrays)
         assert _refine_with(models[0], models[1], pf_data, tmp_path) == 3
         _one_error_line(capsys, "DataError")
+
+    @pytest.mark.parametrize("command, workers", [("gen-data", 0), ("refine", -1), ("attack", 0)])
+    def test_workers_below_one_rejected(self, tmp_path, command, workers):
+        argv = {
+            "gen-data": ["gen-data", "pf"],
+            "refine": ["refine", "--model", "m", "--eps", "e", "--data", "d"],
+            "attack": ["attack", "--kind", "pgd", "--data", "d", "--model", "m"],
+        }[command]
+        got = _quiet_cli(*argv, "--out", tmp_path / "out", "--workers", workers)
+        _assert_one_error(*got, 2, "ConfigError")
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("kind", ["base", "classifier"])
+    def test_blank_line_is_a_row_width_error(self, pf_data, tab_data, tmp_path, capsys, kind):
+        # Neither dataset writer emits a blank line.
+        data = tmp_path / "ds"
+        shutil.copytree(pf_data if kind == "base" else tab_data, data)
+        lines = (data / "val.tsv").read_text().split("\n")
+        (data / "val.tsv").write_text("\n".join(lines[:2] + [""] + lines[2:]))
+        assert run_cli("train", kind, "--data", data, "--out", tmp_path / "m") == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error\tDataError\tval.tsv line 3: row width does not match")
 
     @pytest.mark.parametrize("cell", ["nan", "inf", "-inf"])
     def test_non_finite_pf_cell(self, pf_data, tmp_path, capsys, cell):
@@ -839,29 +880,25 @@ class TestToy:
         assert run_cli("toy", "--starts", bad, "--out", tmp_path / "toy") == 3
 
 
-class TestBench:
-    def test_pf_table_structure(self, capsys):
-        assert run_cli("bench", "--track", "pf", "--n", 5) == 0
-        rows = read_tsv_from_text(capsys.readouterr().out)
-        assert rows[0] == ["op", "median_ms", "n"]
-        assert [r[0] for r in rows[1:]] == ["forward", "newton", "refine"]
-        for r in rows[1:]:
-            assert float(r[1]) > 0.0
-            assert int(r[2]) == 5
-
-    def test_rejects_nonpositive_n(self):
-        assert run_cli("bench", "--track", "pf", "--n", 0) == 2
+class TestBenchRemoved:
+    def test_bench_is_not_a_subcommand(self):
+        # perfbench/run.py is the one timing harness.
+        _assert_one_error(*_quiet_cli("bench", "--track", "pf"), 2, "ConfigError")
 
 
-def read_tsv_from_text(text: str) -> list:
-    return [line.split("\t") for line in text.strip().split("\n")]
+def _checkout_env() -> dict:
+    """This environment with the checkout's sources first on the import
+    path, so a child process runs the code under test."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return os.environ | {"PYTHONPATH": path}
 
 
 class TestEntryPoint:
     def test_module_runs_as_script(self):
         proc = subprocess.run(
             [sys.executable, "-m", "diffrefine.cli", "solve-pf", "--case", "ieee14"],
-            capture_output=True, text=True, timeout=120,
+            capture_output=True, text=True, timeout=120, env=_checkout_env(),
         )
         assert proc.returncode == 0
         assert proc.stdout.startswith("key\tvalue")
@@ -870,7 +907,7 @@ class TestEntryPoint:
         proc = subprocess.run(
             [sys.executable, "-m", "diffrefine.cli", "train", "base",
              "--data", "/nonexistent", "--out", "/tmp/never"],
-            capture_output=True, text=True, timeout=120,
+            capture_output=True, text=True, timeout=120, env=_checkout_env(),
         )
         assert proc.returncode == 3
         assert proc.stderr.startswith("error\tDataError\t")
