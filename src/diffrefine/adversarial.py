@@ -268,7 +268,8 @@ def train_tabular_classifier(
         loss_history=result.history,
         extra={},
     )
-    model.extra["val_accuracy"] = classifier_accuracy(model, ds.val.features, ds.val.labels)
+    if len(ds.val.labels):
+        model.extra["val_accuracy"] = classifier_accuracy(model, ds.val.features, ds.val.labels)
     return model
 
 

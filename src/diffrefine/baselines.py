@@ -26,6 +26,8 @@ from .numerics import as_vector, finite_diff_jacobian, map_row_chunks, require_f
 from .potentials import ConstraintPotential, locate_stationary_points
 
 COMPARISON_METHODS = ("gd", "nr", "refine")
+MAX_BACKTRACKS = 40
+COMPARISON_TOL = 1e-6
 
 
 @dataclass
@@ -62,12 +64,11 @@ def gradient_descent(
     step: float = 1e-4,
     iters: int = 10000,
     tol: float = 1e-6,
-    max_backtracks: int = 40,
 ) -> DescentResult:
     """Fixed-step steepest descent with halving on any uphill move.
 
     Stops when the gradient norm drops below ``tol``, the iteration
-    budget runs out, or no amount of halving produces descent.  A
+    budget runs out, or MAX_BACKTRACKS halvings produce no descent.  A
     non-finite gradient or value ends the run with the trajectory
     collected so far instead of raising.
 
@@ -102,14 +103,14 @@ def gradient_descent(
         if len(points) > iters:
             break
         s = step
-        for halvings in range(max_backtracks + 1):
+        for halvings in range(MAX_BACKTRACKS + 1):
             trial = [xi - s * gi for xi, gi in zip(x, g)]
             phi_trial, g_trial = evaluate(trial)
             if math.isfinite(phi_trial) and not phi_trial > phi:
                 break
             s *= 0.5
         else:
-            backtracks += max_backtracks
+            backtracks += MAX_BACKTRACKS
             break  # no descent available at any step size
         backtracks += halvings
         x, phi, g = trial, phi_trial, g_trial
@@ -137,8 +138,8 @@ def _all_finite(g: list) -> bool:
     return all(map(math.isfinite, g))
 
 
-def _fd_hessian(pot: ConstraintPotential, x: np.ndarray, h: float) -> np.ndarray:
-    jac = finite_diff_jacobian(pot.grad, x, h=h)
+def _fd_hessian(pot: ConstraintPotential, x: np.ndarray) -> np.ndarray:
+    jac = finite_diff_jacobian(pot.grad, x, h=1e-4)
     return 0.5 * (jac + jac.T)
 
 
@@ -153,7 +154,6 @@ def newton_raphson_scalar(
     x0,
     iters: int = 100,
     tol: float = 1e-8,
-    fd_step: float = 1e-4,
 ) -> DescentResult:
     """Newton iteration on the gradient field of a scalar potential.
 
@@ -173,7 +173,7 @@ def newton_raphson_scalar(
         if float(np.linalg.norm(g)) < tol:
             converged = True
             break
-        hessian = _fd_hessian(pot, x, fd_step)
+        hessian = _fd_hessian(pot, x)
         try:
             direction = solve_linear(hessian, g)
         except SingularHessianError:
@@ -190,7 +190,7 @@ def newton_raphson_scalar(
         g = np.asarray(pot.grad(x), dtype=float)
         converged = bool(np.all(np.isfinite(g)) and np.linalg.norm(g) < tol)
     try:
-        saddle = _is_indefinite(_fd_hessian(pot, x, fd_step))
+        saddle = _is_indefinite(_fd_hessian(pot, x))
     except Exception:  # terminal point in a non-finite region
         saddle = False
     return DescentResult(
@@ -232,7 +232,6 @@ def build_toy_setup(demo: dict | None = None):
             pot,
             WORKING_BOX,
             n=int(m["n_samples"]),
-            sampler="metropolis",
             kT=float(m["kT"]),
             seed=int(m["sample_seed"]),
         )
@@ -262,13 +261,13 @@ class BasinAnchor:
     value: float
 
 
-def stationary_anchors(params=None) -> tuple:
+def stationary_anchors() -> tuple:
     """Labeled stationary points of the toy landscape.
 
     Minima get ``global`` / ``local-1`` / ``local-2`` in ascending
     value order; every saddle is labeled ``saddle``.
     """
-    points = locate_stationary_points(params)
+    points = locate_stationary_points()
     minima = [s for s in points if s.kind == "minimum"]
     saddles = [s for s in points if s.kind == "saddle"]
     anchors = []
@@ -280,8 +279,8 @@ def stationary_anchors(params=None) -> tuple:
     return tuple(anchors)
 
 
-def label_point(x, anchors, radius: float = 0.2) -> str:
-    """Nearest-anchor label within ``radius``, else ``diverged``."""
+def label_point(x, anchors) -> str:
+    """Nearest-anchor label within 0.2, else ``diverged``."""
     x = as_vector(x, "x")
     if not np.all(np.isfinite(x)):
         return "diverged"
@@ -291,7 +290,7 @@ def label_point(x, anchors, radius: float = 0.2) -> str:
         dist = float(np.linalg.norm(x - anchor.point))
         if dist < best_dist:
             best, best_dist = anchor, dist
-    if best is None or best_dist > radius:
+    if best is None or best_dist > 0.2:
         return "diverged"
     return best.label
 
@@ -334,17 +333,13 @@ def trajectory_comparison(
     methods=COMPARISON_METHODS,
     model: TrainedModel | None = None,
     refine_cfg: RefineConfig | None = None,
-    anchors=None,
-    radius: float = 0.2,
-    gd_step: float = 1e-4,
     gd_iters: int = 20000,
-    nr_iters: int = 100,
-    tol: float = 1e-6,
 ) -> ComparisonTable:
     """Run each start through the selected methods and label outcomes.
 
     ``refine`` needs a trained noise model and a refinement config; the
-    classical methods run on the potential alone.
+    classical methods run on the potential alone and stop at a gradient
+    norm of COMPARISON_TOL.  ``label_point`` names where each run ends.
     """
     starts = np.atleast_2d(np.asarray(starts, dtype=float))
     for m in methods:
@@ -354,18 +349,17 @@ def trajectory_comparison(
             )
     if "refine" in methods and (model is None or refine_cfg is None):
         raise ConfigError("the refine method needs a trained model and a config")
-    if anchors is None:
-        anchors = stationary_anchors()
+    anchors = stationary_anchors()
 
     table = ComparisonTable()
     for start in starts:
         for method in methods:
             saddle = False
             if method == "gd":
-                run = gradient_descent(pot, start, step=gd_step, iters=gd_iters, tol=tol)
+                run = gradient_descent(pot, start, iters=gd_iters, tol=COMPARISON_TOL)
                 x_final, steps = run.x, run.iterations
             elif method == "nr":
-                run = newton_raphson_scalar(pot, start, iters=nr_iters, tol=tol)
+                run = newton_raphson_scalar(pot, start, tol=COMPARISON_TOL)
                 x_final, steps, saddle = run.x, run.iterations, run.saddle
             else:
                 out = refine(start, pot, model, refine_cfg)
@@ -378,7 +372,7 @@ def trajectory_comparison(
                     method=method,
                     x_final=np.asarray(x_final, dtype=float),
                     phi_final=phi_final,
-                    label=label_point(x_final, anchors, radius=radius),
+                    label=label_point(x_final, anchors),
                     steps=steps,
                     saddle=saddle,
                     trajectory=run,
@@ -503,7 +497,7 @@ def _refine_power_chunk(case, ybus, prior, cfg, predictions, features) -> np.nda
     out = np.empty_like(predictions)
     for i in range(predictions.shape[0]):
         pot = kirchhoff_potential(case, ybus, injections_from_features(case, features[i]))
-        out[i] = refine(predictions[i], pot, prior, cfg, condition=features[i], record=False).x
+        out[i] = refine(predictions[i], pot, prior, cfg, condition=features[i]).x
     return out
 
 

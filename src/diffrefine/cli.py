@@ -90,11 +90,11 @@ TRAIN_DEFAULTS = {
     },
 }
 
-ATTACK_DEFAULTS = {
-    "eps": 0.3, "step": 0.075, "k": 10, "cycles": 5, "tau": 20,
-    "start_step": None, "lam": 1.0, "seed": None,
-    "mu": 10.0, "max_samples": 500,
-}
+
+def attack_defaults() -> dict:
+    from .adversarial import AttackConfig
+
+    return AttackConfig().to_config() | {"seed": None, "mu": 10.0, "max_samples": 500}
 
 
 def refine_defaults() -> dict:
@@ -632,7 +632,7 @@ def _make_attack(kind, model, pot, prior, cfg, mu, workers):
 
 def cmd_attack(args) -> int:
     if args.print_config:
-        return _print_config(ATTACK_DEFAULTS)
+        return _print_config(attack_defaults())
     from .adversarial import (
         AttackConfig,
         evaluate_attacks,
@@ -644,7 +644,7 @@ def cmd_attack(args) -> int:
         raise ConfigError("--data is required")
     if args.model is None:
         raise ConfigError("--model is required")
-    cfg_all = _load_config(args.config, ATTACK_DEFAULTS)
+    cfg_all = _load_config(args.config, attack_defaults())
     mu = float(cfg_all.pop("mu"))
     max_samples = cfg_all.pop("max_samples")
     cfg_all["seed"] = _pick_seed(cfg_all["seed"], args.seed, "attack")

@@ -57,23 +57,14 @@ class NoiseSchedule:
         return float(self.alpha_bars[t])
 
 
-def make_schedule(T: int, beta_min: float = 1e-4, beta_max: float = 0.02, shape: str = "linear") -> NoiseSchedule:
-    """Build a T-step schedule with a linear or squared-cosine profile."""
+def make_schedule(T: int, beta_min: float = 1e-4, beta_max: float = 0.02) -> NoiseSchedule:
+    """Build a T-step schedule with betas rising linearly from beta_min
+    to beta_max."""
     if T < 1:
         raise ConfigError("T must be at least 1")
-    if shape == "linear":
-        if not (0.0 < beta_min <= beta_max < 1.0):
-            raise ConfigError("need 0 < beta_min <= beta_max < 1")
-        betas = np.linspace(beta_min, beta_max, T)
-    elif shape == "cosine":
-        s = 0.008
-        steps = np.arange(T + 1, dtype=float)
-        f = np.cos((steps / T + s) / (1.0 + s) * np.pi / 2.0) ** 2
-        abar = f / f[0]
-        betas = np.clip(1.0 - abar[1:] / abar[:-1], 1e-8, 0.999)
-    else:
-        raise ConfigError(f"unknown schedule shape {shape!r}")
-    return NoiseSchedule.from_betas(betas)
+    if not (0.0 < beta_min <= beta_max < 1.0):
+        raise ConfigError("need 0 < beta_min <= beta_max < 1")
+    return NoiseSchedule.from_betas(np.linspace(beta_min, beta_max, T))
 
 
 def forward_noise(x0, t: int, eps, schedule: NoiseSchedule) -> np.ndarray:
@@ -147,15 +138,14 @@ def train_noise_model(
     conditions: np.ndarray | None = None,
     hidden: tuple = (128, 128),
     time_dim: int = 16,
-    skips: bool = True,
-    val_fraction: float = 0.1,
 ) -> TrainedModel:
     """Fit a noise estimator to samples (optionally conditioned).
 
     Data and conditions are z-scored internally and the statistics are
     stored on the artifact.  Each epoch draws one fresh (step, noise)
-    pair per example.  Validation uses a held-out slice with a frozen
-    set of draws; the final value lands in extra["val_eps_mse"].
+    pair per example.  Validation uses a held-out tenth of the rows
+    with a frozen set of draws; the final value lands in
+    extra["val_eps_mse"].
     """
     data = np.asarray(data, dtype=float)
     if data.ndim != 2:
@@ -175,7 +165,7 @@ def train_noise_model(
         c_all = x_norm.encode(conditions)
 
     rng = Rng(cfg.seed)
-    n_val = int(round(n * val_fraction))
+    n_val = int(round(n * 0.1))
     perm = rng.fork("split").permutation(n)
     val_idx = perm[:n_val]
     trn_idx = perm[n_val:]
@@ -189,7 +179,7 @@ def train_noise_model(
         out_dim=dim,
         time_dim=time_dim,
         cond_dim=cond_dim,
-        skips=skips,
+        skips=True,
         final_zero=True,
     )
     net = FeedForwardNet.init(spec, rng.fork("init"))

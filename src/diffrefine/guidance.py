@@ -217,7 +217,6 @@ def refine(
     model: TrainedModel,
     cfg: RefineConfig,
     condition=None,
-    record: bool = True,
 ) -> RefineResult:
     """Pull a prediction toward the constraint manifold.
 
@@ -257,7 +256,6 @@ def refine(
         clip = 10.0 * statistics.median(dists) if len(dists) >= 3 else None
         z, rec = guided_step(z, t, eps_hat, pot_norm, schedule, cfg, t_prev=t_prev, clip=clip)
         dists.append(rec.dist)
-        if record:
-            trajectory.steps.append(rec)
+        trajectory.steps.append(rec)
 
     return RefineResult(x=np.asarray(model.y_norm.decode(z), dtype=float), trajectory=trajectory)

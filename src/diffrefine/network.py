@@ -42,19 +42,12 @@ class TimeEmbedding:
     over practical step ranges for dim >= 8.
     """
 
-    def __init__(self, dim: int, base: float = 10000.0):
+    def __init__(self, dim: int):
         if dim <= 0 or dim % 2 != 0:
             raise ConfigError(f"embedding dim must be positive and even, got {dim}")
         self.dim = dim
         half = dim // 2
-        self.freqs = base ** (-np.arange(half) / half)
-
-    def __call__(self, t) -> np.ndarray:
-        ang = float(t) * self.freqs
-        out = np.empty(self.dim)
-        out[0::2] = np.sin(ang)
-        out[1::2] = np.cos(ang)
-        return out
+        self.freqs = 10000.0 ** (-np.arange(half) / half)
 
     def batch(self, ts) -> np.ndarray:
         ts = np.asarray(ts, dtype=float)

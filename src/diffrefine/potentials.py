@@ -163,6 +163,8 @@ class MullerBrownParams:
 
 # Region of interest containing all five stationary points.
 WORKING_BOX = np.array([[-1.8, 1.2], [-0.5, 2.2]])
+# Nodes per axis of the grid that seeds the stationary-point search.
+SEED_GRID_N = 61
 
 
 def _exp_point(arg: float) -> float:
@@ -188,9 +190,8 @@ class MullerBrown:
     batch path clamps silently.
     """
 
-    def __init__(self, params: MullerBrownParams | None = None):
-        self.params = params or MullerBrownParams()
-        p = self.params
+    def __init__(self):
+        self.params = p = MullerBrownParams()
         # Doubling is exact, so 2a and 2c round as 2.0 * a and 2.0 * c.
         self._terms = tuple(
             (depth, a, b, c, 2.0 * a, 2.0 * c, cx, cy)
@@ -282,10 +283,8 @@ def _polish(mb: MullerBrown, seed_point: np.ndarray, box: np.ndarray):
     return None
 
 
-@functools.lru_cache(maxsize=8)
-def locate_stationary_points(
-    params: MullerBrownParams | None = None, grid_n: int = 61
-) -> tuple:
+@functools.cache
+def locate_stationary_points() -> tuple:
     """Grid-seeded Newton search for all stationary points in the box.
 
     Seeds are the grid nodes with the smallest gradient norms plus the
@@ -293,9 +292,9 @@ def locate_stationary_points(
     classified by the eigenvalues of the local Hessian.  Minima come
     first, sorted deepest first, then saddles, then maxima.
     """
-    mb = MullerBrown(params)
-    xs = np.linspace(WORKING_BOX[0, 0], WORKING_BOX[0, 1], grid_n)
-    ys = np.linspace(WORKING_BOX[1, 0], WORKING_BOX[1, 1], grid_n)
+    mb = MullerBrown()
+    xs = np.linspace(WORKING_BOX[0, 0], WORKING_BOX[0, 1], SEED_GRID_N)
+    ys = np.linspace(WORKING_BOX[1, 0], WORKING_BOX[1, 1], SEED_GRID_N)
     gx, gy = np.meshgrid(xs, ys, indexing="ij")
     pts = np.stack([gx.ravel(), gy.ravel()], axis=1)
     vals = mb.surface_value_batch(pts)
@@ -304,14 +303,14 @@ def locate_stationary_points(
 
     def grid_local_minima(field_flat):
         # Nodes not exceeded by any of their eight neighbors.
-        field = field_flat.reshape(grid_n, grid_n)
+        field = field_flat.reshape(SEED_GRID_N, SEED_GRID_N)
         padded = np.pad(field, 1, constant_values=np.inf)
         is_min = np.ones_like(field, dtype=bool)
         for di in (-1, 0, 1):
             for dj in (-1, 0, 1):
                 if di == 0 and dj == 0:
                     continue
-                neigh = padded[1 + di : 1 + di + grid_n, 1 + dj : 1 + dj + grid_n]
+                neigh = padded[1 + di : 1 + di + SEED_GRID_N, 1 + dj : 1 + dj + SEED_GRID_N]
                 is_min &= field <= neigh
         return np.flatnonzero(is_min.ravel())
 
@@ -349,8 +348,8 @@ def locate_stationary_points(
     return tuple(found)
 
 
-def global_minimum(params: MullerBrownParams | None = None) -> StationaryPoint:
-    points = locate_stationary_points(params)
+def global_minimum() -> StationaryPoint:
+    points = locate_stationary_points()
     minima = [s for s in points if s.kind == "minimum"]
     if not minima:
         raise ValidationError("no minimum located on the surface")
@@ -360,18 +359,16 @@ def global_minimum(params: MullerBrownParams | None = None) -> StationaryPoint:
 class MullerBrownPotential(ConstraintPotential):
     """Non-negative shift of the surface: value = max(V - zero_level, 0).
 
-    ``zero_level`` defaults to the located global minimum value, which
-    makes the potential vanish only at the minimizer.  Raising it
-    carves out a flat feasible neighborhood around the minimum, where
-    the gradient is identically zero.
+    With ``zero_level`` at the located global minimum value the
+    potential vanishes only at the minimizer; a higher level carves out
+    a flat feasible neighborhood around the minimum, where the gradient
+    is identically zero.
     """
 
     dim = 2
 
-    def __init__(self, params: MullerBrownParams | None = None, zero_level: float | None = None):
-        self.surface = MullerBrown(params)
-        if zero_level is None:
-            zero_level = global_minimum(params).value
+    def __init__(self, zero_level: float):
+        self.surface = MullerBrown()
         self.zero_level = float(zero_level)
 
     def value(self, x) -> float:
@@ -415,19 +412,13 @@ class MullerBrownPotential(ConstraintPotential):
         return np.maximum(v, 0.0), np.stack([gx, gy], axis=-1) * (v > 0.0)[:, None]
 
 
-def muller_brown_potential(
-    params: MullerBrownParams | None = None,
-    zero_level: float | None = None,
-    margin: float = 0.0,
-) -> MullerBrownPotential:
+def muller_brown_potential(margin: float = 0.0) -> MullerBrownPotential:
     """Build the shifted non-negative surface potential.
 
     ``margin`` lifts the zero level above the located global minimum,
     producing a flat feasible pocket of that energy width.
     """
-    if zero_level is None:
-        zero_level = global_minimum(params).value + margin
-    return MullerBrownPotential(params, zero_level)
+    return MullerBrownPotential(global_minimum().value + margin)
 
 
 # ---------------------------------------------------------------------------
@@ -682,32 +673,29 @@ class RelationalConstraintSet(ConstraintPotential):
 
 
 # ---------------------------------------------------------------------------
-# Low-potential dataset samplers.
+# Low-potential dataset sampler.
 # ---------------------------------------------------------------------------
 
 STALL_WINDOW = 100_000
 STALL_RATE = 1e-3
+CHAINS = 64
+BURN_IN = 500
+THIN = 5
 
 
 def sample_manifold_dataset(
     pot: ConstraintPotential,
     box,
     n: int,
-    sampler: str = "metropolis",
     kT: float = 1.0,
     seed: int = 0,
-    chains: int = 64,
-    burn_in: int = 500,
-    thin: int = 5,
-    proposal_scale: float | None = None,
 ) -> np.ndarray:
     """Draw n points with density proportional to exp(-value/kT) on a box.
 
-    ``rejection`` uses the trivial unit envelope (value >= 0 makes the
-    density at most one); ``metropolis`` runs vectorized random-walk
-    chains in parallel, each thinned independently.  Both raise
-    SamplerStalledError when acceptance collapses below 0.1% over a
-    100k-proposal window.
+    Up to CHAINS vectorized random-walk Metropolis chains run in
+    parallel; each discards its first BURN_IN moves and then keeps
+    every THIN-th.  Raises SamplerStalledError when acceptance
+    collapses below 0.1% over a 100k-proposal window.
     """
     box = np.asarray(box, dtype=float)
     if box.ndim != 2 or box.shape[1] != 2:
@@ -723,40 +711,15 @@ def sample_manifold_dataset(
     lo = box[:, 0]
     span = box[:, 1] - box[:, 0]
 
-    if sampler == "rejection":
-        out = np.empty((0, dim))
-        proposed = 0
-        accepted = 0
-        while out.shape[0] < n:
-            batch = 4096
-            cand = lo[None, :] + span[None, :] * rng.random((batch, dim))
-            dens = np.exp(-pot.value_batch(cand) / kT)
-            keep = rng.random(batch) < dens
-            out = np.concatenate([out, cand[keep]], axis=0)
-            proposed += batch
-            accepted += int(keep.sum())
-            if proposed >= STALL_WINDOW:
-                if accepted / proposed < STALL_RATE:
-                    raise SamplerStalledError(
-                        f"rejection acceptance {accepted / proposed:.2e} over {proposed} proposals"
-                    )
-                proposed = 0
-                accepted = 0
-        return out[:n]
-
-    if sampler != "metropolis":
-        raise ConfigError(f"unknown sampler {sampler!r}")
-
-    chains = max(1, min(chains, n))
+    chains = max(1, min(CHAINS, n))
     per_chain = -(-n // chains)  # ceil
-    if proposal_scale is None:
-        proposal_scale = 0.15 * float(span.min())
+    proposal_scale = 0.15 * float(span.min())
     x = lo[None, :] + span[None, :] * rng.random((chains, dim))
     v = pot.value_batch(x)
     kept = []
     proposed = 0
     accepted = 0
-    total_steps = burn_in + per_chain * thin
+    total_steps = BURN_IN + per_chain * THIN
     for step in range(total_steps):
         prop = x + proposal_scale * rng.normal((chains, dim))
         inside = np.all((prop >= lo[None, :]) & (prop <= lo[None, :] + span[None, :]), axis=1)
@@ -774,15 +737,13 @@ def sample_manifold_dataset(
                 )
             proposed = 0
             accepted = 0
-        if step >= burn_in and (step - burn_in) % thin == 0:
+        if step >= BURN_IN and (step - BURN_IN) % THIN == 0:
             kept.append(x.copy())
     samples = np.concatenate(kept, axis=0)
     return samples[:n]
 
 
-def finite_difference_conformance(
-    pot: ConstraintPotential, probes, rtol: float = 1e-4, h: float | None = None
-) -> float:
+def finite_difference_conformance(pot: ConstraintPotential, probes, h: float | None = None) -> float:
     """Worst relative disagreement between grad() and a central difference.
 
     Returns the maximum relative error over the probe points; the

@@ -103,10 +103,10 @@ def mismatch(case: GridCase, ybus: YBus, state: PowerFlowState, injections: Inje
     """(ΔP at non-slack buses, ΔQ at PQ buses), spec minus calculated."""
     if injections is None:
         injections = nominal_injections(case)
-    s = complex_power(ybus, state.vm, state.va)
-    dp = injections.p_spec[case.non_slack] - s.real[case.non_slack]
-    dq = injections.q_spec[case.pq] - s.imag[case.pq]
-    return dp, dq
+    spec = injection_features(case, injections)
+    f = _state_residual(case, ybus, state.vm, state.va, spec)
+    k = len(case.non_slack)
+    return f[:k], f[k:]
 
 
 def mismatch_vector(case, ybus, x, injections=None) -> np.ndarray:
@@ -123,11 +123,12 @@ def grid_residual(case: GridCase, ybus: YBus, xs, spec) -> np.ndarray:
 
 
 def _state_residual(case: GridCase, ybus: YBus, vm, va, spec) -> np.ndarray:
+    """grid_residual on bus voltages: (n,) for one state or (m, n)."""
     s = complex_power(ybus, vm, va)
     spec = np.asarray(spec, dtype=float)
     k = len(case.non_slack)
     return np.concatenate(
-        [spec[..., :k] - s.real[:, case.non_slack], spec[..., k:] - s.imag[:, case.pq]], axis=1
+        [spec[..., :k] - s.real[..., case.non_slack], spec[..., k:] - s.imag[..., case.pq]], axis=-1
     )
 
 
@@ -179,37 +180,37 @@ def mismatch_jacobian_batch(case: GridCase, ybus: YBus, vm: np.ndarray, va: np.n
     return np.concatenate([top, bot], axis=1)
 
 
+NEWTON_MAX_ITER = 50
+
+
 @dataclass
 class NewtonResult:
     state: PowerFlowState
     iterations: int
-    residuals: np.ndarray  # max-mismatch after each update, leading entry at x0
+    residuals: np.ndarray  # max-mismatch after each update, leading entry at the flat start
 
 
 def newton_raphson(
     case: GridCase,
     ybus: YBus | None = None,
     injections: Injections | None = None,
-    x0: PowerFlowState | None = None,
     tol: float = 1e-8,
-    max_iter: int = 50,
 ) -> NewtonResult:
-    """Full Newton iteration on the mismatch equations.
+    """Full Newton iteration on the mismatch equations from a flat start.
 
-    Raises NoConvergenceError when max_iter updates leave the worst
-    mismatch above tol, or the Jacobian goes singular (voltage
+    Raises NoConvergenceError when NEWTON_MAX_ITER updates leave the
+    worst mismatch above tol, or the Jacobian goes singular (voltage
     collapse / infeasible injections).
     """
     if ybus is None:
         ybus = build_ybus(case)
     if injections is None:
         injections = nominal_injections(case)
-    state = x0 if x0 is not None else flat_start(case)
-    state = PowerFlowState(vm=state.vm.copy(), va=state.va.copy())
+    state = flat_start(case)
+    spec = injection_features(case, injections)
     history = []
-    for it in range(max_iter + 1):
-        dp, dq = mismatch(case, ybus, state, injections)
-        f = np.concatenate([dp, dq])
+    for it in range(NEWTON_MAX_ITER + 1):
+        f = _state_residual(case, ybus, state.vm, state.va, spec)
         worst = float(np.abs(f).max()) if f.size else 0.0
         history.append(worst)
         if not np.isfinite(worst):
@@ -219,7 +220,7 @@ def newton_raphson(
             )
         if worst < tol:
             return NewtonResult(state=state, iterations=it, residuals=np.array(history))
-        if it == max_iter:
+        if it == NEWTON_MAX_ITER:
             break
         jac = power_jacobian(case, ybus, state)
         try:
@@ -233,8 +234,8 @@ def newton_raphson(
         state.va[case.non_slack] += step[:k]
         state.vm[case.pq] += step[k:]
     raise NoConvergenceError(
-        f"no convergence after {max_iter} iterations",
-        iterations=max_iter, residual=history[-1],
+        f"no convergence after {NEWTON_MAX_ITER} iterations",
+        iterations=NEWTON_MAX_ITER, residual=history[-1],
     )
 
 

@@ -73,11 +73,11 @@ class Normalizer:
     std: np.ndarray
 
     @classmethod
-    def fit(cls, data: np.ndarray, floor: float = 1e-8) -> "Normalizer":
+    def fit(cls, data: np.ndarray) -> "Normalizer":
         data = np.asarray(data, dtype=float)
         mean = data.mean(axis=0)
         std = data.std(axis=0)
-        std = np.where(std < floor, 1.0, std)
+        std = np.where(std < 1e-8, 1.0, std)
         return cls(mean=mean, std=std)
 
     @classmethod

@@ -20,7 +20,7 @@ def toy_noise_model():
 
     pot = muller_brown_potential()
     data = sample_manifold_dataset(
-        pot, WORKING_BOX, n=4000, sampler="metropolis", kT=10.0, seed=71
+        pot, WORKING_BOX, n=4000, kT=10.0, seed=71
     )
     schedule = make_schedule(60, 1e-4, 0.03)
     cfg = TrainConfig(epochs=40, batch_size=128, lr=1e-3, seed=71, loss="eps")
@@ -66,7 +66,7 @@ def pocket_model():
 
     pot = muller_brown_potential(margin=2.0)
     raw = sample_manifold_dataset(
-        pot, WORKING_BOX, n=3000, sampler="metropolis", kT=1.0, seed=29
+        pot, WORKING_BOX, n=3000, kT=1.0, seed=29
     )
     # Cold chains cannot cross the barriers out of the side wells, so a
     # few stay stuck at positive potential; keep the feasible ones.

@@ -14,6 +14,7 @@ import shutil
 import subprocess
 import sys
 import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -174,9 +175,17 @@ class TestGenData:
         data = tmp_path / "tab"
         assert _quiet_cli("gen-data", "tabular", "--config", cfg, "--out", data) == (0, [""])
         clf_cfg = write_json(tmp_path / "clf.json", {"epochs": 2})
-        got = _quiet_cli("train", "classifier", "--data", data, "--config", clf_cfg,
-                         "--out", tmp_path / "clf.npz")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            got = _quiet_cli("train", "classifier", "--data", data, "--config", clf_cfg,
+                             "--out", tmp_path / "clf.npz")
         assert got == (0, [""])
+
+        def no_constant(token):
+            raise AssertionError(f"model header holds the non-standard JSON token {token}")
+
+        with np.load(tmp_path / "clf.npz") as arrays:
+            json.loads(bytes(arrays["header"]).decode("utf-8"), parse_constant=no_constant)
         in_memory = generate_tabular_dataset(load_schema(), 60, 0, 20).val
         assert (in_memory.features.shape, in_memory.labels.shape) == ((0, 12), (0,))
         val = load_tabular_dataset(data).val

@@ -43,12 +43,6 @@ class TestSchedule:
         assert s.betas[0] == pytest.approx(1e-4)
         assert s.betas[-1] == pytest.approx(0.02)
 
-    def test_cosine_valid(self):
-        s = make_schedule(100, shape="cosine")
-        assert np.all(s.betas > 0) and np.all(s.betas < 1)
-        assert np.all(np.diff(s.alpha_bars) < 0)
-        assert s.alpha_bars[0] == 1.0
-
     def test_bad_beta_rejected(self):
         with pytest.raises(ConfigError):
             NoiseSchedule.from_betas(np.array([0.1, 1.5]))

@@ -23,7 +23,7 @@ from diffrefine.training import (
 class TestTimeEmbedding:
     def test_shape_and_bounds(self):
         emb = TimeEmbedding(16)
-        v = emb(37)
+        v = emb.batch([37])[0]
         assert v.shape == (16,)
         assert np.all(np.abs(v) <= 1.0)
 
