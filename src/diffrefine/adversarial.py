@@ -165,6 +165,8 @@ def generate_tabular_dataset(
     ground_truth_seed: int = GROUND_TRUTH_SEED,
 ) -> TabularDataset:
     """Feasible features, frozen-network labels, a few percent flipped."""
+    if min(n_train, n_val, n_test) < 0:
+        raise DataError("split sizes must be non-negative")
     if pot is None:
         pot = load_schema()
     if not 0.0 <= label_noise < 1.0:
@@ -498,7 +500,10 @@ def evaluate_attacks(
     ``attacks`` maps attack name to a callable (x0, y) -> x_adv.  Only
     rows the classifier gets right on clean data are attacked; robust
     accuracy is the share of those still classified correctly.
+    ``max_samples`` caps the attacked rows; None attacks all of them.
     """
+    if max_samples is not None and max_samples < 1:
+        raise ConfigError(f"max_samples must be at least 1, got {max_samples}")
     if pot is None:
         pot = load_schema()
     x = np.atleast_2d(np.asarray(x, dtype=float))

@@ -22,7 +22,7 @@ import numpy as np
 from .errors import ConfigError, SingularHessianError, SingularMatrixError
 from .guidance import RefineConfig, Trajectory, refine
 from .model_store import TrainedModel
-from .numerics import as_vector, finite_diff_jacobian, map_row_chunks, require_finite, solve_linear
+from .numerics import as_vector, fd_hessian, map_row_chunks, require_finite, solve_linear
 from .potentials import ConstraintPotential, locate_stationary_points
 
 COMPARISON_METHODS = ("gd", "nr", "refine")
@@ -58,6 +58,7 @@ class DescentResult:
         return lines
 
 
+@np.errstate(over="ignore")  # entered once per run: once per iteration cost 10% of toy speed
 def gradient_descent(
     pot: ConstraintPotential,
     x0,
@@ -70,7 +71,8 @@ def gradient_descent(
     Stops when the gradient norm drops below ``tol``, the iteration
     budget runs out, or MAX_BACKTRACKS halvings produce no descent.  A
     non-finite gradient or value ends the run with the trajectory
-    collected so far instead of raising.
+    collected so far instead of raising.  Overflow raises no numpy
+    warning: a huge gradient's norm reads inf and fails the ``tol`` test.
 
     The loop runs on Python floats.  A potential with ``value_and_grad``
     yields the value and gradient of each trial point from one
@@ -138,11 +140,6 @@ def _all_finite(g: list) -> bool:
     return all(map(math.isfinite, g))
 
 
-def _fd_hessian(pot: ConstraintPotential, x: np.ndarray) -> np.ndarray:
-    jac = finite_diff_jacobian(pot.grad, x, h=1e-4)
-    return 0.5 * (jac + jac.T)
-
-
 def _is_indefinite(hessian: np.ndarray) -> bool:
     eigs = np.linalg.eigvalsh(hessian)
     floor = 1e-8 * max(1.0, float(np.abs(eigs).max()))
@@ -173,7 +170,7 @@ def newton_raphson_scalar(
         if float(np.linalg.norm(g)) < tol:
             converged = True
             break
-        hessian = _fd_hessian(pot, x)
+        hessian = fd_hessian(pot.grad, x, 1e-4)
         try:
             direction = solve_linear(hessian, g)
         except SingularHessianError:
@@ -190,7 +187,7 @@ def newton_raphson_scalar(
         g = np.asarray(pot.grad(x), dtype=float)
         converged = bool(np.all(np.isfinite(g)) and np.linalg.norm(g) < tol)
     try:
-        saddle = _is_indefinite(_fd_hessian(pot, x))
+        saddle = _is_indefinite(fd_hessian(pot.grad, x, 1e-4))
     except Exception:  # terminal point in a non-finite region
         saddle = False
     return DescentResult(

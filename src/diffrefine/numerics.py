@@ -93,30 +93,15 @@ def solve_linear(a, b) -> np.ndarray:
 
 
 def finite_diff_grad(f: Callable, x, h: float | None = None) -> np.ndarray:
-    """Central-difference gradient of a scalar function.
-
-    The default step is 1e-5 scaled by max(1, ||x||_inf), a reasonable
-    compromise between truncation and roundoff for float64.
-    """
-    x = as_vector(x, "x")
-    require_finite(x, "x")
-    if h is None:
-        scale = float(np.abs(x).max()) if x.size else 1.0
-        h = 1e-5 * max(1.0, scale)
-    g = np.zeros_like(x)
-    for i in range(x.size):
-        e = np.zeros_like(x)
-        e[i] = h
-        fp = float(f(x + e))
-        fm = float(f(x - e))
-        if not (np.isfinite(fp) and np.isfinite(fm)):
-            raise NonFiniteError(f"probe of f at coordinate {i} returned a non-finite value")
-        g[i] = (fp - fm) / (2.0 * h)
-    return g
+    """Central-difference gradient of a scalar function: its one-row
+    ``finite_diff_jacobian``, flattened."""
+    return finite_diff_jacobian(lambda y: [float(f(y))], x, h).ravel()
 
 
 def finite_diff_jacobian(f: Callable, x, h: float | None = None) -> np.ndarray:
-    """Central-difference Jacobian of a vector-valued function."""
+    """Central-difference Jacobian of a vector-valued function; raises
+    NonFiniteError on a non-finite entry.  The default step is 1e-5
+    scaled by max(1, ||x||_inf), between truncation and roundoff."""
     x = as_vector(x, "x")
     require_finite(x, "x")
     if h is None:
@@ -132,6 +117,12 @@ def finite_diff_jacobian(f: Callable, x, h: float | None = None) -> np.ndarray:
     jac = np.stack(cols, axis=1) if cols else np.zeros((0, 0))
     require_finite(jac, "jacobian")
     return jac
+
+
+def fd_hessian(grad: Callable, x, h: float) -> np.ndarray:
+    """Symmetrized central-difference Hessian from a gradient at step ``h``."""
+    jac = finite_diff_jacobian(grad, x, h)
+    return 0.5 * (jac + jac.T)
 
 
 def derive_seed(seed: int, label: str) -> int:

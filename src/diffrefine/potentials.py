@@ -1,10 +1,11 @@
 """Constraint potentials: non-negative scalar fields with gradients.
 
 A potential measures violation of a constraint set; its zero level set
-is the feasible manifold.  Implementations expose ``value`` and
-``grad`` on single points, batch variants, and a fused
-``value_and_grad_batch``; every one of them is held to a
-finite-difference conformance check in the test suite.
+is the feasible manifold.  Each implementation supplies two batch
+kernels, ``value_batch`` and the fused ``value_and_grad_batch``; the
+base class derives ``value``, ``grad`` and ``grad_batch`` from them,
+and every potential's gradient is held to a finite-difference
+conformance check in the test suite.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from .errors import (
     SingularMatrixError,
     ValidationError,
 )
-from .numerics import Rng, as_vector, require_finite, solve_linear
+from .numerics import Rng, as_vector, fd_hessian, finite_diff_grad, require_finite, solve_linear
 
 # Exponent magnitude above which the surface evaluation saturates
 # instead of overflowing.
@@ -36,21 +37,20 @@ EXP_CLAMP = 500.0
 class ConstraintPotential:
     """Interface for scalar constraint potentials.
 
-    Subclasses set ``dim`` and implement ``value`` and ``grad``; the
-    batch variants fall back to a row loop unless overridden with a
-    vectorized path.
+    Subclasses set ``dim`` and implement two kernels on a batch of rows
+    ``xs (n, d)``:
 
-    ``value_and_grad_batch(xs) -> (phi (n,), grad (n, d))`` is what a
-    guided step calls, once per step.  The default evaluates
-    ``value_batch`` and ``grad_batch``; a potential whose value and
-    gradient share their work overrides it with one fused evaluation
-    that returns the same bits as the two separate calls.  Where the
-    formula allows, a single row runs on Python floats rather than
-    one-element arrays, since numpy's per-call overhead dominates at
-    one row.  It returns a non-finite gradient rather than raising;
-    the caller decides.
+    - ``value_batch(xs) -> phi (n,)``, which computes no gradient, so
+      value-only callers (the Metropolis sampler, the attack's phi
+      logs) never pay for one;
+    - ``value_and_grad_batch(xs) -> (phi (n,), grad (n, d))``, what a
+      guided step calls, once per step.  Where the formula allows, a
+      single row runs on Python floats rather than one-element arrays,
+      since numpy's per-call overhead dominates at one row.  It returns
+      a non-finite gradient rather than raising; the caller decides.
 
-    A subclass that gets both from one evaluation on a single point may
+    ``value``, ``grad`` and ``grad_batch`` derive from these two.  A
+    subclass that gets both from one evaluation on a single point may
     also add ``value_and_grad(x) -> (value, gradient as a list of
     floats)``, which must not raise on a non-finite gradient;
     ``gradient_descent`` then calls it at every trial point.
@@ -58,24 +58,20 @@ class ConstraintPotential:
 
     dim: int = 0
 
-    def value(self, x) -> float:
-        raise NotImplementedError
-
-    def grad(self, x) -> np.ndarray:
-        raise NotImplementedError
-
     def value_batch(self, xs) -> np.ndarray:
-        xs = np.asarray(xs, dtype=float)
-        return np.array([self.value(row) for row in xs])
-
-    def grad_batch(self, xs) -> np.ndarray:
-        xs = np.asarray(xs, dtype=float)
-        if xs.shape[0] == 0:
-            return np.zeros_like(xs)
-        return np.stack([self.grad(row) for row in xs])
+        raise NotImplementedError
 
     def value_and_grad_batch(self, xs):
-        return self.value_batch(xs), self.grad_batch(xs)
+        raise NotImplementedError
+
+    def value(self, x) -> float:
+        return float(self.value_batch(np.asarray(x, dtype=float)[None, :])[0])
+
+    def grad(self, x) -> np.ndarray:
+        return self.value_and_grad_batch(np.asarray(x, dtype=float)[None, :])[1][0]
+
+    def grad_batch(self, xs) -> np.ndarray:
+        return self.value_and_grad_batch(xs)[1]
 
 
 class ZeroPotential(ConstraintPotential):
@@ -84,26 +80,29 @@ class ZeroPotential(ConstraintPotential):
     def __init__(self, dim: int):
         self.dim = dim
 
-    def value(self, x) -> float:
-        return 0.0
+    def value_batch(self, xs) -> np.ndarray:
+        return np.zeros(len(xs))
 
-    def grad(self, x) -> np.ndarray:
-        return np.zeros(self.dim)
+    def value_and_grad_batch(self, xs):
+        xs = np.asarray(xs, dtype=float)
+        return np.zeros(xs.shape[0]), np.zeros_like(xs)
 
 
 class CallablePotential(ConstraintPotential):
-    """Adapter wrapping plain value/grad callables."""
+    """Adapter wrapping plain value/grad callables, called once per row."""
 
     def __init__(self, dim: int, value_fn: Callable, grad_fn: Callable):
         self.dim = dim
         self._value = value_fn
         self._grad = grad_fn
 
-    def value(self, x) -> float:
-        return float(self._value(np.asarray(x, dtype=float)))
+    def value_batch(self, xs) -> np.ndarray:
+        return np.array([float(self._value(row)) for row in np.asarray(xs, dtype=float)])
 
-    def grad(self, x) -> np.ndarray:
-        return np.asarray(self._grad(np.asarray(x, dtype=float)), dtype=float)
+    def value_and_grad_batch(self, xs):
+        xs = np.asarray(xs, dtype=float)
+        g = [np.asarray(self._grad(row), dtype=float) for row in xs]
+        return self.value_batch(xs), np.stack(g) if g else np.zeros_like(xs)
 
 
 class NormalizedPotential(ConstraintPotential):
@@ -120,24 +119,9 @@ class NormalizedPotential(ConstraintPotential):
         self.scale = np.asarray(scale, dtype=float)
         self.dim = base.dim
 
-    def _decode(self, z):
-        return self.mean + self.scale * np.asarray(z, dtype=float)
-
-    def value(self, z) -> float:
-        return self.base.value(self._decode(z))
-
-    def grad(self, z) -> np.ndarray:
-        return self.scale * self.base.grad(self._decode(z))
-
     def value_batch(self, zs) -> np.ndarray:
         zs = np.asarray(zs, dtype=float)
         return self.base.value_batch(self.mean[None, :] + self.scale[None, :] * zs)
-
-    def grad_batch(self, zs) -> np.ndarray:
-        zs = np.asarray(zs, dtype=float)
-        return self.scale[None, :] * self.base.grad_batch(
-            self.mean[None, :] + self.scale[None, :] * zs
-        )
 
     def value_and_grad_batch(self, zs):
         zs = np.asarray(zs, dtype=float)
@@ -251,16 +235,6 @@ class StationaryPoint:
         return np.array(self.location)
 
 
-def _fd_hessian(mb: MullerBrown, point: np.ndarray, h: float = 1e-5) -> np.ndarray:
-    cols = []
-    for i in range(2):
-        e = np.zeros(2)
-        e[i] = h
-        cols.append((mb.surface_grad(point + e) - mb.surface_grad(point - e)) / (2.0 * h))
-    hess = np.stack(cols, axis=1)
-    return 0.5 * (hess + hess.T)
-
-
 def _polish(mb: MullerBrown, seed_point: np.ndarray, box: np.ndarray):
     """Newton iteration on the gradient from one seed; None if it escapes."""
     p = seed_point.astype(float).copy()
@@ -271,7 +245,7 @@ def _polish(mb: MullerBrown, seed_point: np.ndarray, box: np.ndarray):
         if float(np.abs(g).max()) < 1e-11:
             return p
         try:
-            step = solve_linear(_fd_hessian(mb, p), g)
+            step = solve_linear(fd_hessian(mb.surface_grad, p, 1e-5), g)
         except SingularMatrixError:
             return None
         norm = float(np.abs(step).max())
@@ -328,7 +302,7 @@ def locate_stationary_points() -> tuple:
             continue
         if any(np.linalg.norm(p - s.point) < 1e-4 for s in found):
             continue
-        eig = np.linalg.eigvalsh(_fd_hessian(mb, p))
+        eig = np.linalg.eigvalsh(fd_hessian(mb.surface_grad, p, 1e-5))
         if np.all(eig > 0):
             kind = "minimum"
         elif np.all(eig < 0):
@@ -580,18 +554,8 @@ class RelationalConstraintSet(ConstraintPotential):
         """Per-term residuals c_r for a batch, shape (n, n_terms)."""
         return self._evaluate(xs, grad=False)[0]
 
-    def breakdown(self, x) -> np.ndarray:
-        """Squared violation per term at a single point."""
-        return self.residuals_batch(np.asarray(x, dtype=float)[None, :])[0] ** 2
-
-    def value(self, x) -> float:
-        return float(np.sum(self.breakdown(x)))
-
     def value_batch(self, xs) -> np.ndarray:
         return np.sum(self.residuals_batch(xs) ** 2, axis=1)
-
-    def grad(self, x) -> np.ndarray:
-        return self.grad_batch(np.asarray(x, dtype=float)[None, :])[0]
 
     def grad_batch(self, xs) -> np.ndarray:
         return self._evaluate(xs, grad=True)[1]
@@ -751,8 +715,6 @@ def finite_difference_conformance(pot: ConstraintPotential, probes, h: float | N
     kinks of hinge terms, where the two-sided difference straddles a
     derivative jump.
     """
-    from .numerics import finite_diff_grad
-
     worst = 0.0
     for x in np.asarray(probes, dtype=float):
         g = pot.grad(x)

@@ -253,12 +253,6 @@ class KirchhoffPotential(ConstraintPotential):
         self.injections = injections if injections is not None else nominal_injections(case)
         self.spec = injection_features(case, self.injections)
 
-    def value(self, x) -> float:
-        return float(self.value_batch(np.asarray(x, dtype=float)[None, :])[0])
-
-    def grad(self, x) -> np.ndarray:
-        return self.grad_batch(np.asarray(x, dtype=float)[None, :])[0]
-
     def value_batch(self, xs) -> np.ndarray:
         f = grid_residual(self.case, self.ybus, xs, self.spec)
         return np.sum(f * f, axis=1)

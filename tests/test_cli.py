@@ -220,6 +220,15 @@ class TestGenData:
         assert marker.read_text().startswith("error\t")
         assert capsys.readouterr().err.startswith("error\tDatasetInfeasibleError\t")
 
+    @pytest.mark.parametrize("key", ["n_train", "n_val", "n_test"])
+    def test_negative_tabular_split_size(self, tmp_path, capsys, key):
+        cfg = write_json(tmp_path / "cfg.json", {"n_train": 5, "n_val": 5, "n_test": 5, key: -1})
+        out = tmp_path / "bad"
+        assert run_cli("gen-data", "tabular", "--config", cfg, "--out", out) == 3
+        err = capsys.readouterr().err
+        assert err == "error\tDataError\tsplit sizes must be non-negative\n"
+        assert (out / "INCOMPLETE").read_text() == err
+
 
 class TestTrain:
     def test_base_model_and_manifest(self, workdir, pf_models):
@@ -863,6 +872,17 @@ class TestAttack:
         assert (
             run_cli("attack", "--kind", "fgsm", "--data", tab_data,
                     "--model", clf, "--out", tmp_path / "x") == 2
+        )
+
+    @pytest.mark.parametrize("cap", [0, -3])
+    def test_sample_cap_below_one_rejected(self, tab_data, tab_models, tmp_path, capsys, cap):
+        clf, _ = tab_models
+        cfg = write_json(tmp_path / "cfg.json", {"max_samples": cap})
+        code = run_cli("attack", "--kind", "pgd", "--data", tab_data, "--model", clf,
+                       "--config", cfg, "--out", tmp_path / "x")
+        assert code == 2
+        assert capsys.readouterr().err == (
+            f"error\tConfigError\tmax_samples must be at least 1, got {cap}\n"
         )
 
 

@@ -9,19 +9,24 @@ from diffrefine.errors import (
     SamplerStalledError,
     ValidationError,
 )
-from diffrefine.numerics import Rng
+from diffrefine.numerics import Rng, fd_hessian, finite_diff_jacobian
 from diffrefine import potentials
 from diffrefine.adversarial import load_schema, sample_feasible
+from diffrefine.powerflow import load_case, solver
+from diffrefine.powerflow.solver import flat_start, kirchhoff_potential, pack_state
 from diffrefine.potentials import (
     WORKING_BOX,
     CallablePotential,
+    ConstraintPotential,
     LinearSumTerm,
     MullerBrown,
     MullerBrownPotential,
+    NormalizedPotential,
     OrderTerm,
     ProductTerm,
     RangeTerm,
     RelationalConstraintSet,
+    ZeroPotential,
     finite_difference_conformance,
     global_minimum,
     locate_stationary_points,
@@ -142,34 +147,37 @@ class TestRelationalConstraintSet:
     def test_linear_violation(self):
         pot = small_constraint_set()
         x = np.array([3.5, 1.0, 3.5, 3.5])  # a - 2b - 0.5 = 1
-        assert pot.breakdown(x)[0] == pytest.approx(1.0)
+        assert pot.residuals_batch(x[None, :])[0, 0] ** 2 == pytest.approx(1.0)
 
     def test_product_violation(self):
         pot = small_constraint_set()
         x = np.array([2.5, 1.0, 4.5, 3.0])  # c - a*b = 2
-        assert pot.breakdown(x)[1] == pytest.approx(4.0)
+        assert pot.residuals_batch(x[None, :])[0, 1] ** 2 == pytest.approx(4.0)
 
     def test_order_hinge_one_sided(self):
         pot = small_constraint_set()
         ok = np.array([2.5, 1.0, 2.5, 3.0])
         bad = ok.copy()
         bad[3] = 1.5  # d below a: order violated by 1
-        assert pot.breakdown(ok)[2] == 0.0
-        assert pot.breakdown(bad)[2] == pytest.approx(1.0)
+        assert pot.residuals_batch(ok[None, :])[0, 2] ** 2 == 0.0
+        assert pot.residuals_batch(bad[None, :])[0, 2] ** 2 == pytest.approx(1.0)
 
     def test_range_both_sides(self):
         pot = small_constraint_set()
         low = np.array([0.25, -0.125, -0.03125, 0.5])
-        assert pot.breakdown(low)[3] == pytest.approx(0.25)  # 0.5 below lower 1
+        # 0.5 below lower 1
+        assert pot.residuals_batch(low[None, :])[0, 3] ** 2 == pytest.approx(0.25)
         high = np.array([2.5, 1.0, 2.5, 6.0])
-        assert pot.breakdown(high)[3] == pytest.approx(4.0)  # 6 above upper 4
+        # 6 above upper 4
+        assert pot.residuals_batch(high[None, :])[0, 3] ** 2 == pytest.approx(4.0)
 
     def test_breakdown_sums_to_value(self):
         pot = small_constraint_set()
         rng = Rng(3)
         for _ in range(20):
             x = rng.uniform(0.0, 5.0, 4)
-            assert pot.value(x) == pytest.approx(float(pot.breakdown(x).sum()), rel=1e-12)
+            breakdown = pot.residuals_batch(x[None, :])[0] ** 2
+            assert pot.value(x) == pytest.approx(float(breakdown.sum()), rel=1e-12)
 
     def test_gradient_conformance_away_from_kinks(self):
         pot = small_constraint_set()
@@ -416,6 +424,9 @@ class TestRelationalKernel:
         # Built first: locating the surface minimum takes gradients.
         mb = muller_brown_potential(margin=2.0)
         schema = load_schema()
+        case = load_case("ieee14")
+        grid = kirchhoff_potential(case)
+        states = pack_state(case, flat_start(case)) + 0.05 * Rng(6).normal((20, case.n_unknowns))
 
         # A gradient request anywhere in these calls raises.
         def no_gradient(*args, **kwargs):
@@ -441,15 +452,23 @@ class TestRelationalKernel:
             monkeypatch.setattr(cls, "value_and_grad_batch", no_gradient)
         monkeypatch.setattr(MullerBrownPotential, "grad", no_gradient)
         monkeypatch.setattr(MullerBrownPotential, "value_and_grad", no_gradient)
+        # The Kirchhoff gradient is the Newton Jacobian contracted with F.
+        monkeypatch.setattr(solver, "mismatch_jacobian_batch", no_gradient)
 
-        s = sample_manifold_dataset(mb, WORKING_BOX, 200, kT=10.0, seed=3)
-        assert mb.value_batch(s).shape == (200,)
+        pts = sample_manifold_dataset(mb, WORKING_BOX, 200, kT=10.0, seed=3)
+        assert mb.value_batch(pts).shape == (200,)
         rows = sample_feasible(schema, 50, Rng(4))
         assert float(schema.value_batch(rows).max()) == 0.0
         assert schema.value_batch(rows[:1]).shape == (1,)
         assert schema.residuals_batch(rows[:1]).shape == (1, len(schema.terms))
         s = sample_manifold_dataset(schema, schema.bounds, 100, kT=10.0, seed=5)
         assert s.shape == (100, schema.dim)
+        assert grid.value_batch(states).shape == (20,)
+        assert grid.value(states[0]) > 0.0
+        for base, xs in ((mb, pts), (schema, rows), (grid, states)):
+            view = NormalizedPotential(base, xs[0], np.full(base.dim, 0.5))
+            assert view.value_batch(xs).shape == (xs.shape[0],)
+            assert view.value(xs[1]) >= 0.0
 
 
 class TestFusedMullerBrown:
@@ -477,3 +496,122 @@ class TestFusedMullerBrown:
             _same_bytes(g, pot.grad(xs[i])[None, :])
             _same_bytes(phi, phi_ref[i : i + 1])
             assert np.array_equal(g, g_ref[i : i + 1])
+
+
+# ---------------------------------------------------------------------------
+# Two kernels per potential: the point entry points and grad_batch derived
+# from value_batch and value_and_grad_batch, against the formulas that the
+# removed per-class copies computed, byte for byte.
+# ---------------------------------------------------------------------------
+
+def _normalized_cases():
+    """(base potential, mean, scale, rows in normalized coordinates)."""
+    mb = muller_brown_potential(margin=2.0)
+    zs = Rng(31).normal((20, 2))
+    zs[:5] = 0.01 * zs[:5] + (global_minimum().point - [-0.3, 0.8]) / [0.6, 0.5]  # in the pocket
+    schema = load_schema()
+    case = load_case("ieee14")
+    grid = kirchhoff_potential(case)
+    bounds = schema.bounds
+    return [
+        (mb, np.array([-0.3, 0.8]), np.array([0.6, 0.5]), zs),
+        (schema, bounds.mean(axis=1), 0.3 * (bounds[:, 1] - bounds[:, 0]),
+         Rng(32).normal((20, schema.dim))),
+        (grid, pack_state(case, flat_start(case)), np.full(grid.dim, 0.05),
+         Rng(33).normal((20, grid.dim))),
+    ]
+
+
+class TestTwoKernels:
+    def test_normalized_matches_the_removed_formulas(self):
+        for base, mean, scale, zs in _normalized_cases():
+            view = NormalizedPotential(base, mean, scale)
+            for z in zs:
+                _same_bytes(np.array(view.value(z)), np.array(base.value(mean + scale * z)))
+                _same_bytes(view.grad(z), scale * base.grad(mean + scale * z))
+            want = scale[None, :] * base.grad_batch(mean[None, :] + scale[None, :] * zs)
+            _same_bytes(view.grad_batch(zs), want)
+            for z in zs:
+                got = view.grad_batch(z[None, :])
+                want = scale[None, :] * base.grad_batch(mean[None, :] + scale[None, :] * z[None, :])
+                if np.any(got) or np.any(want):
+                    _same_bytes(got, want)
+                else:
+                    # Flat Müller–Brown pocket: one derived row takes the
+                    # float kernel, +0.0 where the array path may give -0.0.
+                    assert np.array_equal(got, want) and not np.signbit(got).any()
+
+    def test_relational_value_matches_the_removed_formula(self):
+        schema = load_schema()
+        for x in Rng(34).uniform(schema.bounds[:, 0], schema.bounds[:, 1], (20, schema.dim)):
+            want = float(np.sum(schema.residuals_batch(x[None, :])[0] ** 2))
+            _same_bytes(np.array(schema.value(x)), np.array(want))
+
+    def test_zero_matches_the_removed_formulas(self):
+        pot = ZeroPotential(3)
+        xs = Rng(35).normal((4, 3))
+        for x in xs:
+            assert type(pot.value(x)) is float and pot.value(x) == 0.0
+            _same_bytes(pot.grad(x), np.zeros(3))
+        _same_bytes(pot.grad_batch(xs), np.stack([np.zeros(3) for _ in xs]))
+        _same_bytes(pot.grad_batch(np.zeros((0, 3))), np.zeros((0, 3)))
+
+    def test_callable_matches_the_removed_formulas(self):
+        def value_fn(x):
+            return np.float64(x @ x) + np.sin(x[0])
+
+        def grad_fn(x):
+            return list(2.0 * x + [np.cos(x[0]), 0.0])
+
+        pot = CallablePotential(2, value_fn, grad_fn)
+        xs = Rng(36).normal((6, 2))
+        for x in xs:
+            _same_bytes(np.array(pot.value(x)), np.array(float(value_fn(x))))
+            _same_bytes(pot.grad(x), np.asarray(grad_fn(x), dtype=float))
+        rows = [np.asarray(grad_fn(x), dtype=float) for x in xs]
+        _same_bytes(pot.grad_batch(xs), np.stack(rows))
+        _same_bytes(pot.value_batch(xs), np.array([float(value_fn(x)) for x in xs]))
+        _same_bytes(pot.grad_batch(np.zeros((0, 2))), np.zeros((0, 2)))
+
+    def test_only_muller_brown_defines_point_entry_points(self):
+        def subclasses(cls):
+            for sub in cls.__subclasses__():
+                yield sub
+                yield from subclasses(sub)
+
+        own = [
+            sub for sub in subclasses(ConstraintPotential) if sub.__module__.startswith("diffrefine")
+        ]
+        assert {"KirchhoffPotential", "RelationalConstraintSet", "NormalizedPotential"} <= {
+            sub.__name__ for sub in own
+        }
+        # MullerBrownPotential's point methods run on Python floats.
+        assert [sub.__name__ for sub in own if {"value", "grad"} & vars(sub).keys()] == [
+            "MullerBrownPotential"
+        ]
+
+
+def _surface_hessian_before(mb, point, h=1e-5):
+    cols = []
+    for i in range(2):
+        e = np.zeros(2)
+        e[i] = h
+        cols.append((mb.surface_grad(point + e) - mb.surface_grad(point - e)) / (2.0 * h))
+    hess = np.stack(cols, axis=1)
+    return 0.5 * (hess + hess.T)
+
+
+def _potential_hessian_before(pot, x):
+    jac = finite_diff_jacobian(pot.grad, x, h=1e-4)
+    return 0.5 * (jac + jac.T)
+
+
+def test_fd_hessian_matches_both_replaced_copies():
+    mb = MullerBrown()
+    pot = muller_brown_potential(margin=2.0)
+    lo, hi = WORKING_BOX[:, 0], WORKING_BOX[:, 1]
+    points = lo + (hi - lo) * Rng(37).random((40, 2))
+    points = np.concatenate([points, [s.point for s in locate_stationary_points()]])
+    for p in points:
+        _same_bytes(fd_hessian(mb.surface_grad, p, 1e-5), _surface_hessian_before(mb, p))
+        _same_bytes(fd_hessian(pot.grad, p, 1e-4), _potential_hessian_before(pot, p))

@@ -105,9 +105,11 @@ def test_gradient_descent_raises_on_non_finite_gradient():
 def test_clamped_start_warns_and_rejected_trials_do_not_raise(start):
     # every trial from these starts lands where the gradient overflows
     pot = muller_brown_potential(margin=2.0)
-    with pytest.warns(RuntimeWarning, match="surface exponent clamped"):
+    with pytest.warns(RuntimeWarning, match="surface exponent clamped") as record:
         res = gradient_descent(pot, np.array(start), step=1e-4, iters=50)
     assert res.iterations == 0 and res.backtracks == 40
+    # the huge but finite gradient's norm overflows without a warning of its own
+    assert {str(w.message) for w in record} == {"surface exponent clamped"}
 
 
 # The surface as separate value and gradient passes computed it before the
