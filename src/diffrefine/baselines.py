@@ -146,6 +146,7 @@ def _is_indefinite(hessian: np.ndarray) -> bool:
     return bool(eigs.min() < -floor and eigs.max() > floor)
 
 
+@np.errstate(over="ignore")  # once per run, as in gradient_descent
 def newton_raphson_scalar(
     pot: ConstraintPotential,
     x0,
@@ -156,7 +157,9 @@ def newton_raphson_scalar(
 
     The Hessian comes from central differences of the analytic
     gradient.  The iteration walks to whichever stationary point is
-    nearby; ``saddle`` reports an indefinite terminal Hessian.
+    nearby; ``saddle`` reports an indefinite terminal Hessian.  Overflow
+    raises no numpy warning: a huge gradient's norm reads inf and fails
+    the ``tol`` test.
     """
     x = as_vector(x0, "x0")
     require_finite(x, "x0")

@@ -21,6 +21,7 @@ potential is evaluated in physical coordinates through the chain rule.
 
 from __future__ import annotations
 
+import math
 import statistics
 from dataclasses import dataclass, field
 
@@ -111,13 +112,13 @@ def descent_direction(pot: ConstraintPotential, x):
     """
     phi, g = pot.value_and_grad_batch(np.asarray(x, dtype=float)[None, :])
     g = g[0]
-    if not np.all(np.isfinite(g)):
+    if not np.isfinite(g).all():
         raise NonFiniteGradientError(f"potential gradient non-finite at {x}")
-    norm = float(np.linalg.norm(g))
+    norm = math.sqrt(g.dot(g))  # the bits of np.linalg.norm on a real vector
     phi = float(phi[0])
     if norm <= GRAD_FLOOR:
         return None, norm, phi
-    return -g / norm, norm, phi
+    return g / -norm, norm, phi  # the bits of -g / norm, one array operation fewer
 
 
 def compute_gamma(
@@ -134,16 +135,22 @@ def compute_gamma(
     docstring.  The denominator 1 + lam * ||grad||^2 is at least one,
     so the expression is always well defined.
     """
+    return _gamma_and_dot(r, delta, phi, grad_norm, lam, clip)[:2]
+
+
+def _gamma_and_dot(r, delta, phi, grad_norm, lam, clip):
+    """``compute_gamma``'s (gamma, clipped), and <r, delta>."""
     r = as_vector(r, "r")
     delta = as_vector(delta, "delta")
     if r.shape != delta.shape:
         raise ConfigError("r and delta must have matching shapes")
-    gamma = (float(r @ delta) + lam * phi * grad_norm) / (1.0 + lam * grad_norm * grad_norm)
+    r_delta = float(r.dot(delta))
+    gamma = (r_delta + lam * phi * grad_norm) / (1.0 + lam * grad_norm * grad_norm)
     clipped = False
     if clip is not None and abs(gamma) > clip:
         gamma = float(np.sign(gamma)) * clip
         clipped = True
-    return gamma, clipped
+    return gamma, clipped, r_delta
 
 
 def guided_step(
@@ -169,7 +176,7 @@ def guided_step(
     x0_hat = estimate_x0(x_t, t, eps_hat, schedule)
     x_prev = ddim_step(x_t, t, eps_hat, schedule, t_prev=t_prev, x0_hat=x0_hat)
     r = x0_hat - x_prev
-    dist = float(np.linalg.norm(r))
+    dist = math.sqrt(r.dot(r))
     delta, grad_norm, phi = descent_direction(pot, x_prev)
     if delta is None:
         rec = StepRecord(
@@ -177,8 +184,8 @@ def guided_step(
             grad_norm=grad_norm, clipped=False, x_prev=x_prev, x0_hat=x0_hat, delta=None,
         )
         return x_prev, rec
-    gamma, clipped = compute_gamma(r, delta, phi, grad_norm, cfg.lam, clip)
-    cos_angle = float(r @ delta) / dist if dist > 0.0 else 0.0
+    gamma, clipped, r_delta = _gamma_and_dot(r, delta, phi, grad_norm, cfg.lam, clip)
+    cos_angle = r_delta / dist if dist > 0.0 else 0.0
     x_next = x_prev + gamma * delta
     require_finite(x_next, "guided step")
     rec = StepRecord(

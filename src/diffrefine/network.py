@@ -2,12 +2,13 @@
 
 No autograd framework: the forward pass caches pre-activations and
 their sigmoids, and the backward pass replays them in reverse, writing
-the parameter gradient into a flat buffer laid out like the parameters.  The architecture is a plain
-multilayer perceptron whose hidden halves can be tied by additive skip
-connections (output of hidden layer i is added to the pre-activation
-of its mirror), which requires a width-symmetric hidden stack.  Step
-inputs enter through a fixed sinusoidal embedding concatenated to the
-feature vector, condition vectors are concatenated the same way.
+the parameter gradient, when asked for, into a flat buffer laid out like
+the parameters.  The architecture is a plain multilayer perceptron whose
+hidden halves can be tied by additive skip connections (output of hidden
+layer i is added to the pre-activation of its mirror), which requires a
+width-symmetric hidden stack.  Step inputs enter through a fixed
+sinusoidal embedding concatenated to the feature vector, condition
+vectors are concatenated the same way.
 """
 
 from __future__ import annotations
@@ -170,6 +171,8 @@ class FeedForwardNet:
         self.params = params
         self.weights, self.biases = _layer_views(spec, params)
         self._embed = TimeEmbedding(spec.time_dim) if spec.time_dim else None
+        # (t, rows) -> embedding of one scalar step t for that many rows
+        self._embedded = {}
         self._skip_into = {dst: src for src, dst in spec.skip_pairs()}
 
     @classmethod
@@ -211,8 +214,14 @@ class FeedForwardNet:
         if self.spec.time_dim:
             if t is None:
                 raise DimensionMismatchError("net expects a step input t")
-            ts = np.full(x.shape[0], float(t)) if np.ndim(t) == 0 else np.asarray(t, dtype=float)
-            parts.append(self._embed.batch(ts))
+            # isinstance first: np.ndim costs about a microsecond on a Python number
+            if not isinstance(t, (int, float)) and np.ndim(t) != 0:
+                parts.append(self._embed.batch(np.asarray(t, dtype=float)))
+            else:
+                key = (float(t), x.shape[0])
+                if key not in self._embedded:
+                    self._embedded[key] = self._embed.batch(np.full(x.shape[0], float(t)))
+                parts.append(self._embedded[key])
         if self.spec.cond_dim:
             if cond is None:
                 raise DimensionMismatchError("net expects a condition vector")
@@ -238,8 +247,9 @@ class FeedForwardNet:
         cache = ForwardCache(inputs=inp) if want_cache else None
         a = inp
         acts = [inp]
+        # ndarray.dot makes the BLAS call that @ makes, at less cost per call
         for j in range(1, m + 1):
-            z = a @ self.weights[j - 1].T
+            z = a.dot(self.weights[j - 1].T)
             z += self.biases[j - 1]
             src = self._skip_into.get(j)
             if src is not None:
@@ -250,7 +260,7 @@ class FeedForwardNet:
             if want_cache:
                 cache.pre_activations.append(z)
                 cache.sigmoids.append(s)
-        out = a @ self.weights[m].T
+        out = a.dot(self.weights[m].T)
         out += self.biases[m]
         if want_cache:
             cache.activations = acts
@@ -259,30 +269,32 @@ class FeedForwardNet:
     def backward_batch(self, cache: ForwardCache, d_out: np.ndarray, grads=None, input_grad=True):
         """Backpropagate d_loss/d_output; returns (gradient, d_input).
 
-        The gradient is flat, in the layout of ``params``; it is written
-        into ``grads`` when given.  d_input covers the assembled input row
-        (x, step embedding, condition); slice the first x_dim columns for
-        the gradient with respect to x alone.  It is None, and not
-        computed, when ``input_grad`` is false.
+        The parameter gradient is computed only when the caller passes
+        ``grads``, a flat buffer in the layout of ``params``: it is
+        written there and returned.  Without a buffer the gradient is
+        None and none of it is computed.  d_input covers the assembled
+        input row (x, step embedding, condition); slice the first x_dim
+        columns for the gradient with respect to x alone.  It is None,
+        and not computed, when ``input_grad`` is false.
         """
         m = len(self.spec.hidden)
         acts = cache.activations
-        if grads is None:
-            grads = np.empty_like(self.params)
-        d_w, d_b = _layer_views(self.spec, grads)
-        np.matmul(d_out.T, acts[m], out=d_w[m])
-        np.sum(d_out, axis=0, out=d_b[m])
+        if grads is not None:
+            d_w, d_b = _layer_views(self.spec, grads)
+            np.matmul(d_out.T, acts[m], out=d_w[m])
+            np.sum(d_out, axis=0, out=d_b[m])
         # d_a[j]: gradient at hidden layer j's output, summed over the next
         # layer and any skip it feeds.
         d_a = [None] * (m + 1)
-        d_a[m] = d_out @ self.weights[m]
+        d_a[m] = d_out.dot(self.weights[m])
         for j in range(m, 0, -1):
             s = cache.sigmoids[j - 1]
             d_z = d_a[j] * (s * (1.0 + cache.pre_activations[j - 1] * (1.0 - s)))
-            np.matmul(d_z.T, acts[j - 1], out=d_w[j - 1])
-            np.sum(d_z, axis=0, out=d_b[j - 1])
+            if grads is not None:
+                np.matmul(d_z.T, acts[j - 1], out=d_w[j - 1])
+                np.sum(d_z, axis=0, out=d_b[j - 1])
             if j > 1 or input_grad:
-                d_in = d_z @ self.weights[j - 1]
+                d_in = d_z.dot(self.weights[j - 1])
                 d_a[j - 1] = d_in if d_a[j - 1] is None else d_a[j - 1] + d_in
             src = self._skip_into.get(j)
             if src is not None:

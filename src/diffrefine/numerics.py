@@ -44,7 +44,7 @@ def as_matrix(a, name: str = "a") -> np.ndarray:
 
 def require_finite(arr, name: str = "value") -> np.ndarray:
     arr = np.asarray(arr)
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise NonFiniteError(f"{name} contains a non-finite entry")
     return arr
 

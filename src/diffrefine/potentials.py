@@ -10,7 +10,6 @@ conformance check in the test suite.
 
 from __future__ import annotations
 
-import functools
 import json
 import warnings
 from dataclasses import dataclass
@@ -24,10 +23,9 @@ from .errors import (
     DimensionMismatchError,
     NonFiniteGradientError,
     SamplerStalledError,
-    SingularMatrixError,
     ValidationError,
 )
-from .numerics import Rng, as_vector, fd_hessian, finite_diff_grad, require_finite, solve_linear
+from .numerics import Rng, as_vector, finite_diff_grad, require_finite
 
 # Exponent magnitude above which the surface evaluation saturates
 # instead of overflowing.
@@ -125,8 +123,8 @@ class NormalizedPotential(ConstraintPotential):
 
     def value_and_grad_batch(self, zs):
         zs = np.asarray(zs, dtype=float)
-        phi, g = self.base.value_and_grad_batch(self.mean[None, :] + self.scale[None, :] * zs)
-        return phi, self.scale[None, :] * g
+        phi, g = self.base.value_and_grad_batch(self.mean + self.scale * zs)
+        return phi, self.scale * g
 
 
 # ---------------------------------------------------------------------------
@@ -147,8 +145,6 @@ class MullerBrownParams:
 
 # Region of interest containing all five stationary points.
 WORKING_BOX = np.array([[-1.8, 1.2], [-0.5, 2.2]])
-# Nodes per axis of the grid that seeds the stationary-point search.
-SEED_GRID_N = 61
 
 
 def _exp_point(arg: float) -> float:
@@ -235,91 +231,23 @@ class StationaryPoint:
         return np.array(self.location)
 
 
-def _polish(mb: MullerBrown, seed_point: np.ndarray, box: np.ndarray):
-    """Newton iteration on the gradient from one seed; None if it escapes."""
-    p = seed_point.astype(float).copy()
-    lo = box[:, 0] - 0.5
-    hi = box[:, 1] + 0.5
-    for _ in range(80):
-        g = mb.surface_grad(p)
-        if float(np.abs(g).max()) < 1e-11:
-            return p
-        try:
-            step = solve_linear(fd_hessian(mb.surface_grad, p, 1e-5), g)
-        except SingularMatrixError:
-            return None
-        norm = float(np.abs(step).max())
-        if norm > 0.25:
-            step *= 0.25 / norm
-        p = p - step
-        if np.any(p < lo) or np.any(p > hi):
-            return None
-    return None
+# The stationary points of the surface inside WORKING_BOX, each written
+# so that it reads back to the same float: minima deepest first, then
+# saddles.  tests/test_potentials.py keeps the grid-seeded Newton search
+# that found them and checks that it reproduces these bytes.
+_STATIONARY_POINTS = (
+    StationaryPoint((-0.5582236346330243, 1.4417258418046686), -146.699517209954, "minimum"),
+    StationaryPoint((0.6234994049308765, 0.028037758528685668), -108.16672411685236, "minimum"),
+    StationaryPoint((-0.05001082299820605, 0.4666941048719721), -80.76781812965903, "minimum"),
+    StationaryPoint((0.212486582000662, 0.2929883251073678), -72.24894011232522, "saddle"),
+    StationaryPoint((-0.8220015587327321, 0.6243128028148713), -40.6648435086574, "saddle"),
+)
 
 
-@functools.cache
 def locate_stationary_points() -> tuple:
-    """Grid-seeded Newton search for all stationary points in the box.
-
-    Seeds are the grid nodes with the smallest gradient norms plus the
-    deepest surface values; converged points are deduplicated and
-    classified by the eigenvalues of the local Hessian.  Minima come
-    first, sorted deepest first, then saddles, then maxima.
-    """
-    mb = MullerBrown()
-    xs = np.linspace(WORKING_BOX[0, 0], WORKING_BOX[0, 1], SEED_GRID_N)
-    ys = np.linspace(WORKING_BOX[1, 0], WORKING_BOX[1, 1], SEED_GRID_N)
-    gx, gy = np.meshgrid(xs, ys, indexing="ij")
-    pts = np.stack([gx.ravel(), gy.ravel()], axis=1)
-    vals = mb.surface_value_batch(pts)
-    grads = mb.surface_grad_batch(pts)
-    gnorm = np.abs(grads).max(axis=1)
-
-    def grid_local_minima(field_flat):
-        # Nodes not exceeded by any of their eight neighbors.
-        field = field_flat.reshape(SEED_GRID_N, SEED_GRID_N)
-        padded = np.pad(field, 1, constant_values=np.inf)
-        is_min = np.ones_like(field, dtype=bool)
-        for di in (-1, 0, 1):
-            for dj in (-1, 0, 1):
-                if di == 0 and dj == 0:
-                    continue
-                neigh = padded[1 + di : 1 + di + SEED_GRID_N, 1 + dj : 1 + dj + SEED_GRID_N]
-                is_min &= field <= neigh
-        return np.flatnonzero(is_min.ravel())
-
-    seed_idx = set(np.argsort(gnorm)[:200].tolist())
-    seed_idx.update(np.argsort(vals)[:80].tolist())
-    seed_idx.update(grid_local_minima(vals).tolist())
-    seed_idx.update(grid_local_minima(gnorm).tolist())
-
-    found: list[StationaryPoint] = []
-    for idx in sorted(seed_idx):
-        p = _polish(mb, pts[idx], WORKING_BOX)
-        if p is None:
-            continue
-        if np.any(p < WORKING_BOX[:, 0]) or np.any(p > WORKING_BOX[:, 1]):
-            continue
-        if any(np.linalg.norm(p - s.point) < 1e-4 for s in found):
-            continue
-        eig = np.linalg.eigvalsh(fd_hessian(mb.surface_grad, p, 1e-5))
-        if np.all(eig > 0):
-            kind = "minimum"
-        elif np.all(eig < 0):
-            kind = "maximum"
-        else:
-            kind = "saddle"
-        found.append(
-            StationaryPoint(
-                location=(float(p[0]), float(p[1])),
-                value=mb.surface_value(p),
-                kind=kind,
-            )
-        )
-
-    order = {"minimum": 0, "saddle": 1, "maximum": 2}
-    found.sort(key=lambda s: (order[s.kind], s.value))
-    return tuple(found)
+    """All stationary points of the surface in WORKING_BOX: minima
+    first, sorted deepest first, then saddles (there is no maximum)."""
+    return _STATIONARY_POINTS
 
 
 def global_minimum() -> StationaryPoint:
@@ -473,6 +401,10 @@ class RelationalConstraintSet(ConstraintPotential):
             for name in self._term_features(term):
                 if name not in self._index:
                     raise ValidationError(f"constraint references unknown feature {name!r}")
+        # Column indices of each term's features, resolved once.
+        self._term_cols = tuple(
+            tuple(self._index[name] for name in self._term_features(term)) for term in self.terms
+        )
 
     @staticmethod
     def _term_features(term):
@@ -499,23 +431,21 @@ class RelationalConstraintSet(ConstraintPotential):
         """
         res = []
         g = [0.0] * self.dim if grad else None
-        for term in self.terms:
+        for term, idx in zip(self.terms, self._term_cols):
             if isinstance(term, LinearSumTerm):
-                idx = [self._index[f] for f in term.features]
                 c = sum(w * cols[i] for i, w in zip(idx, term.weights)) - term.offset
                 if grad:
                     for i, w in zip(idx, term.weights):
                         g[i] += 2.0 * c * w
             elif isinstance(term, ProductTerm):
-                ir, il = self._index[term.result], self._index[term.left]
-                iright = self._index[term.right]
+                ir, il, iright = idx
                 c = cols[ir] - cols[il] * cols[iright]
                 if grad:
                     g[ir] += 2.0 * c
                     g[il] += -2.0 * c * cols[iright]
                     g[iright] += -2.0 * c * cols[il]
             elif isinstance(term, OrderTerm):
-                i_s, i_l = self._index[term.smaller], self._index[term.larger]
+                i_s, i_l = idx
                 z = cols[i_s] - cols[i_l]
                 c = relu(z)
                 if grad:
@@ -523,7 +453,7 @@ class RelationalConstraintSet(ConstraintPotential):
                     g[i_s] += 2.0 * c * active
                     g[i_l] += -2.0 * c * active
             else:  # RangeTerm; the constructor rejects any other kind
-                i_f = self._index[term.feature]
+                (i_f,) = idx
                 v = cols[i_f]
                 c = relu(v - term.upper) + relu(term.lower - v)
                 if grad:
@@ -562,7 +492,7 @@ class RelationalConstraintSet(ConstraintPotential):
 
     def value_and_grad_batch(self, xs):
         r, g = self._evaluate(xs, grad=True)
-        return np.sum(r ** 2, axis=1), g
+        return np.add.reduce(r * r, axis=1), g
 
     # -- declarative schema -------------------------------------------------
 

@@ -171,8 +171,11 @@ def backprop_grads(
 ):
     """Loss, flat parameter gradient and input gradient for one batch.
 
-    ``grads`` and ``input_grad`` are passed on to ``net.backward_batch``.
+    ``grads`` and ``input_grad`` are passed on to ``net.backward_batch``;
+    without ``grads`` a new buffer is allocated for the gradient.
     """
+    if grads is None:
+        grads = np.empty_like(net.params)
     out, cache = net.forward_batch(x, t, cond, want_cache=True)
     loss, d_out = loss_and_output_grad(
         kind, out, np.asarray(y, dtype=float), pinn_penalty, pinn_weight, row_ids

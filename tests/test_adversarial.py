@@ -23,6 +23,7 @@ from diffrefine.adversarial import (
 )
 from diffrefine.errors import ConfigError, DataError
 from diffrefine.model_store import TrainedModel
+from diffrefine import network
 from diffrefine.network import FeedForwardNet, NetSpec
 from diffrefine.numerics import Rng
 from diffrefine.potentials import RelationalConstraintSet
@@ -185,6 +186,19 @@ class TestPgdAttack:
         cfg = AttackConfig(eps=0.3, step=0.075, k=10, cycles=3)
         attacked = classifier_accuracy(model, pgd_attack(model, x0, y, cfg, pot), y)
         assert attacked < clean
+
+    def test_computes_no_parameter_gradient(self, tabular_task, monkeypatch):
+        # the signed steps need only the input gradient; the layer views
+        # of a flat buffer are where a parameter gradient would be written
+        pot, ds, model, _ = tabular_task
+
+        def refuse(*args):
+            raise AssertionError("a parameter gradient was computed")
+
+        monkeypatch.setattr(network, "_layer_views", refuse)
+        cfg = AttackConfig(eps=0.3, step=0.075, k=3, cycles=2)
+        x_adv = pgd_attack(model, ds.test.features[:4], ds.test.labels[:4], cfg, pot)
+        assert x_adv.shape == (4, pot.dim)
 
 
 class TestPenaltyPgdAttack:

@@ -12,11 +12,15 @@ paths and the unused refinement knobs were removed.  The relational and
 Müller–Brown potentials were pinned before each got one fused value and
 gradient kernel.  The files the command line writes (dataset tables and
 manifests, a model manifest, run manifests) were pinned before dataset
-tables and manifests got one reader and one writer.
+tables and manifests got one reader and one writer.  The benchmark's
+output digests at tiny sizes were pinned before the one-row guided step
+and the input gradient of the signed-gradient attack were made cheaper.
 """
 
 import hashlib
 import json
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -46,6 +50,12 @@ from diffrefine.powerflow import (
 )
 from diffrefine.potentials import WORKING_BOX, muller_brown_potential
 from diffrefine.training import TrainConfig
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+sys.path.insert(0, str(PERFBENCH))
+
+import run  # noqa: E402
+from workloads import TINY, WORKLOADS  # noqa: E402
 
 
 def _sha256(*arrays) -> str:
@@ -109,6 +119,13 @@ CLI_FILE_SHA = {
     "base.manifest.json": "993b34a35e76443fcd8215fa23132d68380fa04fc76c3004f6104f73e8a203dc",
     "refine/manifest.json": "d6d2927a7414945d89bc9ddd443785b2807cb69d5b612d8531f90cc18f400f53",
     "attack/manifest.json": "a832f581e66cf29fa6780bda9a9b4f366a2ae9a4c8f60bccb5d14b9d474f0448",
+}
+# run.run_untraced(WORKLOADS[name], 3, 0.01, TINY)["digest"]
+PERFBENCH_DIGEST = {
+    "pf30-scenarios": "a301cf6ba16b0ede2b1b7a8dc31f0dae93fbc35e0b3196b3e5c1bacb848ca32c",
+    "pf14-refine": "34d5933bec48f89a983f9545f2592b7b52e192dd1c944cc9f70a429d9345bbf3",
+    "tabular-cyclic": "0b9954b22b35fbd9fe172a42b477c42ddb3bcda8def0d299634cbf60265077a7",
+    "toy-basins": "bf3867dab483a30208806fff2e9ad8a1534b0efe903fa6ee92bb40bf5d14a6db",
 }
 
 
@@ -259,3 +276,10 @@ def cli_runs(tmp_path_factory):
 @pytest.mark.parametrize("name", sorted(CLI_FILE_SHA))
 def test_cli_files(cli_runs, name):
     assert hashlib.sha256((cli_runs / name).read_bytes()).hexdigest() == CLI_FILE_SHA[name]
+
+
+# The toy workload's far-field start clamps surface exponents by design.
+@pytest.mark.filterwarnings("ignore:surface exponent clamped:RuntimeWarning")
+@pytest.mark.parametrize("name", sorted(PERFBENCH_DIGEST))
+def test_perfbench_digests(name):
+    assert run.run_untraced(WORKLOADS[name], 3, 0.01, TINY)["digest"] == PERFBENCH_DIGEST[name]

@@ -1,9 +1,13 @@
 """Correction length closed form, guided transitions, refinement loop."""
 
+import dataclasses
+import math
 import time
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from diffrefine.diffusion import NoiseSchedule, ddim_step, make_schedule
 from diffrefine.errors import ConfigError, NonFiniteGradientError
@@ -15,6 +19,7 @@ from diffrefine.guidance import (
     refine,
     step_subsequence,
 )
+from diffrefine.network import TimeEmbedding
 from diffrefine.numerics import Rng
 from diffrefine.potentials import CallablePotential, ZeroPotential, muller_brown_potential
 
@@ -245,7 +250,32 @@ class TestRefineConfig:
             RefineConfig.from_config({"steps": 5, "bogus": 1})
 
 
+@given(st.lists(st.floats(allow_nan=False, allow_infinity=False), max_size=24))
+@example([1e200, -3.0])  # the square overflows: both read inf
+@example([-0.0, 0.0])
+def test_dot_norm_is_the_linalg_norm(values):
+    # guidance takes norms as math.sqrt(v.dot(v)) in place of np.linalg.norm
+    v = np.array(values, dtype=float)
+    with np.errstate(over="ignore"):
+        assert math.sqrt(v.dot(v)).hex() == float(np.linalg.norm(v)).hex()
+
+
 class TestRefine:
+    def test_refines_sharing_a_model_embed_each_level_once(self, toy_noise_model, monkeypatch):
+        model = dataclasses.replace(toy_noise_model, net=toy_noise_model.net.clone())
+        embedded = []
+        batch = TimeEmbedding.batch
+
+        def recording(self, ts):
+            embedded.extend(np.asarray(ts, dtype=float).tolist())
+            return batch(self, ts)
+
+        monkeypatch.setattr(TimeEmbedding, "batch", recording)
+        cfg = RefineConfig(steps=12, start_step=30, lam=0.1)
+        for x in ([0.0, 1.0], [0.5, 0.5]):
+            refine(np.array(x), muller_brown_potential(), model, cfg)
+        assert sorted(embedded) == sorted(set(step_subsequence(30, 12)))
+
     def test_zero_steps_is_identity(self, toy_noise_model):
         x = np.array([0.3, 0.9])
         pot = muller_brown_potential()

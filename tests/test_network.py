@@ -5,10 +5,12 @@ import hashlib
 import numpy as np
 import pytest
 
+from diffrefine.baselines import load_toy_demo
+from diffrefine.cli import TRAIN_DEFAULTS
 from diffrefine.diffusion import make_schedule, train_noise_model
 from diffrefine.errors import ConfigError, DimensionMismatchError, NonFiniteLossError
 from diffrefine.model_store import TrainedModel, load_model, save_model
-from diffrefine.network import FeedForwardNet, NetSpec, TimeEmbedding, _sigmoid, silu
+from diffrefine.network import FeedForwardNet, NetSpec, TimeEmbedding, _layer_views, _sigmoid, silu
 from diffrefine.numerics import Rng, finite_diff_grad
 from diffrefine.potentials import CallablePotential
 from diffrefine.training import (
@@ -296,6 +298,50 @@ def _sha256(arr) -> str:
     return hashlib.sha256(np.ascontiguousarray(arr, dtype=float).tobytes()).hexdigest()
 
 
+def _forward_before(net, inp):
+    """forward_batch's layers as they were, with @ products, on an
+    assembled input."""
+    m = len(net.spec.hidden)
+    skip_into = {dst: src for src, dst in net.spec.skip_pairs()}
+    a = inp
+    acts = [inp]
+    for j in range(1, m + 1):
+        z = a @ net.weights[j - 1].T
+        z += net.biases[j - 1]
+        if j in skip_into:
+            z += acts[skip_into[j]]
+        a = z * _sigmoid(z)
+        acts.append(a)
+    out = a @ net.weights[m].T
+    out += net.biases[m]
+    return out
+
+
+def _full_backward_before(net, cache, d_out):
+    """backward_batch as it was before it skipped the parameter gradient
+    without a buffer: (flat parameter gradient, assembled-input gradient)."""
+    m = len(net.spec.hidden)
+    acts = cache.activations
+    grads = np.empty_like(net.params)
+    d_w, d_b = _layer_views(net.spec, grads)
+    np.matmul(d_out.T, acts[m], out=d_w[m])
+    np.sum(d_out, axis=0, out=d_b[m])
+    d_a = [None] * (m + 1)
+    d_a[m] = d_out @ net.weights[m]
+    skip_into = {dst: src for src, dst in net.spec.skip_pairs()}
+    for j in range(m, 0, -1):
+        s = cache.sigmoids[j - 1]
+        d_z = d_a[j] * (s * (1.0 + cache.pre_activations[j - 1] * (1.0 - s)))
+        np.matmul(d_z.T, acts[j - 1], out=d_w[j - 1])
+        np.sum(d_z, axis=0, out=d_b[j - 1])
+        d_in = d_z @ net.weights[j - 1]
+        d_a[j - 1] = d_in if d_a[j - 1] is None else d_a[j - 1] + d_in
+        src = skip_into.get(j)
+        if src is not None:
+            d_a[src] = d_z if d_a[src] is None else d_a[src] + d_z
+    return grads, d_a[0]
+
+
 class TestBitIdentity:
     """Faster arithmetic must not change a single bit of what is computed."""
 
@@ -349,6 +395,56 @@ class TestBitIdentity:
         _, grads, skipped = backprop_grads(net, x, y, grads=buf, input_grad=False)
         assert grads is buf and skipped is None and d_input is not None
         assert grads.tobytes() == ref.tobytes()
+
+    # The tabular classifier's architecture, and a skip-connected
+    # conditional prior.
+    BACKWARD_SPECS = {
+        "classifier": NetSpec(x_dim=12, hidden=(32, 32), out_dim=1),
+        "prior": NetSpec(x_dim=12, hidden=(16, 16), out_dim=12, time_dim=16, cond_dim=3,
+                         skips=True),
+    }
+
+    @pytest.mark.parametrize("rows", [1, 7, 128])  # 128: a training batch
+    @pytest.mark.parametrize("kind", sorted(BACKWARD_SPECS))
+    def test_fast_forward_and_buffer_less_backward_match_the_old_formulas(self, kind, rows):
+        spec = self.BACKWARD_SPECS[kind]
+        net = FeedForwardNet.init(spec, Rng(9))
+        rng = Rng(10)
+        x = rng.normal((rows, spec.x_dim))
+        t = rng.integers(1, 61, size=rows) if spec.time_dim else None
+        cond = rng.normal((rows, spec.cond_dim)) if spec.cond_dim else None
+        out, cache = net.forward_batch(x, t, cond, want_cache=True)
+        assert out.tobytes() == _forward_before(net, cache.inputs).tobytes()
+        d_out = rng.normal((rows, spec.out_dim))
+        ref_grads, ref_input = _full_backward_before(net, cache, d_out)
+        grads, d_input = net.backward_batch(cache, d_out)
+        assert grads is None
+        assert d_input.tobytes() == ref_input.tobytes()
+        buf = np.empty_like(net.params)
+        grads, d_input = net.backward_batch(cache, d_out, buf)
+        assert grads is buf and grads.tobytes() == ref_grads.tobytes()
+        assert d_input.tobytes() == ref_input.tobytes()
+
+    # The shipped recipes' step schedule lengths and embedding widths.
+    SHIPPED_STEPS = {
+        "pf": TRAIN_DEFAULTS["eps"]["powerflow-dataset"],
+        "tabular": TRAIN_DEFAULTS["eps"]["tabular-dataset"],
+        "toy": load_toy_demo()["model"],
+    }
+
+    @pytest.mark.parametrize("rows", [1, 5])
+    @pytest.mark.parametrize("recipe", sorted(SHIPPED_STEPS))
+    def test_memoized_step_embedding_matches_a_fresh_one(self, recipe, rows):
+        T = self.SHIPPED_STEPS[recipe]["schedule"]["T"]
+        time_dim = self.SHIPPED_STEPS[recipe]["time_dim"]
+        net = FeedForwardNet.init(NetSpec(x_dim=3, hidden=(4,), out_dim=3, time_dim=time_dim),
+                                  Rng(11))
+        x = Rng(12).normal((rows, 3))
+        for t in range(T + 1):
+            fresh = TimeEmbedding(time_dim).batch(np.full(rows, float(t)))
+            for _ in range(2):  # the first call fills the memo, the second reads it
+                got = net._assemble_input(x, t, None)[:, 3:]
+                assert got.tobytes() == fresh.tobytes()
 
     # Recorded before the flat parameter buffer, the cached sigmoid and the
     # in-place Adam replaced per-layer arrays and per-step copies, with

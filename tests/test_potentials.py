@@ -7,9 +7,10 @@ from hypothesis import strategies as st
 
 from diffrefine.errors import (
     SamplerStalledError,
+    SingularMatrixError,
     ValidationError,
 )
-from diffrefine.numerics import Rng, fd_hessian, finite_diff_jacobian
+from diffrefine.numerics import Rng, fd_hessian, finite_diff_jacobian, solve_linear
 from diffrefine import potentials
 from diffrefine.adversarial import load_schema, sample_feasible
 from diffrefine.powerflow import load_case, solver
@@ -26,6 +27,7 @@ from diffrefine.potentials import (
     ProductTerm,
     RangeTerm,
     RelationalConstraintSet,
+    StationaryPoint,
     ZeroPotential,
     finite_difference_conformance,
     global_minimum,
@@ -70,6 +72,106 @@ class TestStationaryOracle:
         mb = MullerBrown()
         for p in locate_stationary_points():
             assert np.abs(mb.surface_grad(p.point)).max() < 1e-8
+
+
+# The grid-seeded Newton search that found the stationary points which
+# locate_stationary_points returns as constants.
+
+# Nodes per axis of the grid that seeds the stationary-point search.
+SEED_GRID_N = 61
+
+
+def _polish(mb: MullerBrown, seed_point: np.ndarray, box: np.ndarray):
+    """Newton iteration on the gradient from one seed; None if it escapes."""
+    p = seed_point.astype(float).copy()
+    lo = box[:, 0] - 0.5
+    hi = box[:, 1] + 0.5
+    for _ in range(80):
+        g = mb.surface_grad(p)
+        if float(np.abs(g).max()) < 1e-11:
+            return p
+        try:
+            step = solve_linear(fd_hessian(mb.surface_grad, p, 1e-5), g)
+        except SingularMatrixError:
+            return None
+        norm = float(np.abs(step).max())
+        if norm > 0.25:
+            step *= 0.25 / norm
+        p = p - step
+        if np.any(p < lo) or np.any(p > hi):
+            return None
+    return None
+
+
+def _search_stationary_points() -> tuple:
+    """Grid-seeded Newton search for all stationary points in the box.
+
+    Seeds are the grid nodes with the smallest gradient norms plus the
+    deepest surface values; converged points are deduplicated and
+    classified by the eigenvalues of the local Hessian.  Minima come
+    first, sorted deepest first, then saddles, then maxima.
+    """
+    mb = MullerBrown()
+    xs = np.linspace(WORKING_BOX[0, 0], WORKING_BOX[0, 1], SEED_GRID_N)
+    ys = np.linspace(WORKING_BOX[1, 0], WORKING_BOX[1, 1], SEED_GRID_N)
+    gx, gy = np.meshgrid(xs, ys, indexing="ij")
+    pts = np.stack([gx.ravel(), gy.ravel()], axis=1)
+    vals = mb.surface_value_batch(pts)
+    grads = mb.surface_grad_batch(pts)
+    gnorm = np.abs(grads).max(axis=1)
+
+    def grid_local_minima(field_flat):
+        # Nodes not exceeded by any of their eight neighbors.
+        field = field_flat.reshape(SEED_GRID_N, SEED_GRID_N)
+        padded = np.pad(field, 1, constant_values=np.inf)
+        is_min = np.ones_like(field, dtype=bool)
+        for di in (-1, 0, 1):
+            for dj in (-1, 0, 1):
+                if di == 0 and dj == 0:
+                    continue
+                neigh = padded[1 + di : 1 + di + SEED_GRID_N, 1 + dj : 1 + dj + SEED_GRID_N]
+                is_min &= field <= neigh
+        return np.flatnonzero(is_min.ravel())
+
+    seed_idx = set(np.argsort(gnorm)[:200].tolist())
+    seed_idx.update(np.argsort(vals)[:80].tolist())
+    seed_idx.update(grid_local_minima(vals).tolist())
+    seed_idx.update(grid_local_minima(gnorm).tolist())
+
+    found: list[StationaryPoint] = []
+    for idx in sorted(seed_idx):
+        p = _polish(mb, pts[idx], WORKING_BOX)
+        if p is None:
+            continue
+        if np.any(p < WORKING_BOX[:, 0]) or np.any(p > WORKING_BOX[:, 1]):
+            continue
+        if any(np.linalg.norm(p - s.point) < 1e-4 for s in found):
+            continue
+        eig = np.linalg.eigvalsh(fd_hessian(mb.surface_grad, p, 1e-5))
+        if np.all(eig > 0):
+            kind = "minimum"
+        elif np.all(eig < 0):
+            kind = "maximum"
+        else:
+            kind = "saddle"
+        found.append(
+            StationaryPoint(
+                location=(float(p[0]), float(p[1])),
+                value=mb.surface_value(p),
+                kind=kind,
+            )
+        )
+
+    order = {"minimum": 0, "saddle": 1, "maximum": 2}
+    found.sort(key=lambda s: (order[s.kind], s.value))
+    return tuple(found)
+
+
+def test_search_reproduces_the_stationary_point_constants():
+    def exact(points):
+        return [(p.kind, [v.hex() for v in (*p.location, p.value)]) for p in points]
+
+    assert exact(_search_stationary_points()) == exact(locate_stationary_points())
 
 
 class TestMullerBrownPotential:

@@ -112,6 +112,17 @@ def test_clamped_start_warns_and_rejected_trials_do_not_raise(start):
     assert {str(w.message) for w in record} == {"surface exponent clamped"}
 
 
+def test_newton_far_jump_overflows_without_a_warning():
+    # a toy-basins start (seed 5) whose Newton steps reach points where the
+    # gradient is finite but its squared norm overflows
+    pot = muller_brown_potential(margin=2.0)
+    with warnings.catch_warnings(record=True) as record:
+        warnings.simplefilter("always")
+        res = newton_raphson_scalar(pot, np.array([-0.1006846337440006, 0.6916972958276733]))
+    assert res.converged
+    assert {str(w.message) for w in record} == {"surface exponent clamped"}
+
+
 # The surface as separate value and gradient passes computed it before the
 # fused kernel, on numpy float64 scalars for one point and on arrays for a
 # batch: the reference the kernel must match bit for bit.
