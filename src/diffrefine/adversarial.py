@@ -351,9 +351,12 @@ def _attack_frame(model: TrainedModel, x0, pot: RelationalConstraintSet | None):
     return pot, model.x_norm.encode(np.atleast_2d(np.asarray(x0, dtype=float))), lo, hi
 
 
-def _project(z, z0, eps, lo, hi):
-    z = np.clip(z, z0 - eps, z0 + eps)
-    return np.clip(z, lo[None, :], hi[None, :])
+def _project(z, ball, lo, hi):
+    """z clipped to the budget ball ``(z0 - eps, z0 + eps)``, then to the
+    feature bounds.  np.minimum(np.maximum(...)) gives np.clip's bytes
+    with array bounds, at less cost per call."""
+    z = np.minimum(np.maximum(z, ball[0]), ball[1])
+    return np.minimum(np.maximum(z, lo), hi)
 
 
 def _ce_input_grad(model: TrainedModel, z: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -364,17 +367,17 @@ def _ce_input_grad(model: TrainedModel, z: np.ndarray, y: np.ndarray) -> np.ndar
     return model.net.input_gradient(d_full)
 
 
-def _signed_gradient_steps(model, z, z0, y, cfg, lo, hi, steps, pot=None, mu=0.0):
+def _signed_gradient_steps(model, z, ball, y, cfg, lo, hi, steps, pot=None, mu=0.0):
     """``steps`` signed-gradient ascent steps on the classification loss
-    minus mu * phi, each projected onto the budget ball around z0
-    intersected with the feature bounds."""
+    minus mu * phi, each projected onto the budget ball intersected with
+    the feature bounds."""
     std = np.asarray(model.x_norm.std, dtype=float)
     for _ in range(steps):
         g = _ce_input_grad(model, z, y)
         if mu > 0.0:
             # chain rule: phi is defined on raw features
             g = g - mu * pot.grad_batch(model.x_norm.decode(z)) * std[None, :]
-        z = _project(z + cfg.step * np.sign(g), z0, cfg.eps, lo, hi)
+        z = _project(z + cfg.step * np.sign(g), ball, lo, hi)
     return z
 
 
@@ -399,7 +402,8 @@ def penalty_pgd_attack(
     if mu < 0:
         raise ConfigError(f"mu must be >= 0, got {mu}")
     pot, z0, lo, hi = _attack_frame(model, x0, pot)
-    z = _signed_gradient_steps(model, z0, z0, np.asarray(y), cfg, lo, hi, cfg.k * cfg.cycles, pot, mu)
+    ball = (z0 - cfg.eps, z0 + cfg.eps)
+    z = _signed_gradient_steps(model, z0, ball, np.asarray(y), cfg, lo, hi, cfg.k * cfg.cycles, pot, mu)
     return model.x_norm.decode(z)
 
 
@@ -445,6 +449,7 @@ def cyclic_attack(
     if prior is None:
         raise ConfigError("cyclic attack needs a diffusion prior over feasible rows")
     pot, z0, lo, hi = _attack_frame(model, x0, pot)
+    ball = (z0 - cfg.eps, z0 + cfg.eps)
     y = np.asarray(y)
     z = z0
     log = CycleLog()
@@ -453,12 +458,12 @@ def cyclic_attack(
     start = cfg.start_step if cfg.start_step is not None else max(cfg.tau, 1)
     refine_cfg = RefineConfig(steps=cfg.tau, start_step=start, lam=cfg.lam)
     for _ in range(cfg.cycles):
-        z = _signed_gradient_steps(model, z, z0, y, cfg, lo, hi, cfg.k)
+        z = _signed_gradient_steps(model, z, ball, y, cfg, lo, hi, cfg.k)
         x = model.x_norm.decode(z)
         log.phi_after_pgd.append(pot.value_batch(x))
         refined = np.stack([refine(row, pot, prior, refine_cfg).x for row in x])
         z_ref = model.x_norm.encode(refined)
-        z = _project(z_ref, z0, cfg.eps, lo, hi)
+        z = _project(z_ref, ball, lo, hi)
         moved = np.abs(z - z_ref).max(axis=1) > 1e-12
         log.projection_binding.append(int(moved.sum()))
         log.phi_after_refine.append(pot.value_batch(model.x_norm.decode(z)))

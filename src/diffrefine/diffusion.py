@@ -11,7 +11,7 @@ so with the true noise it inverts the forward map exactly.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -31,11 +31,24 @@ class NoiseSchedule:
     betas has length T; alpha_bars has length T + 1 with the index-0
     entry pinned to one, so alpha_bar(t) is meaningful for t in
     [0, T] and the t = 1 -> 0 transition needs no special casing.
+    sqrt_alpha_bars and sqrt_one_minus_alpha_bars hold, per level,
+    the square roots the reverse step multiplies by: Python floats,
+    each taken once with math.sqrt, which is correctly rounded like
+    np.sqrt at less cost per call.
     """
 
     betas: np.ndarray
     alphas: np.ndarray
     alpha_bars: np.ndarray
+    sqrt_alpha_bars: tuple = field(init=False, repr=False, compare=False)
+    sqrt_one_minus_alpha_bars: tuple = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        abar = self.alpha_bars.tolist()
+        object.__setattr__(self, "sqrt_alpha_bars", tuple(math.sqrt(a) for a in abar))
+        object.__setattr__(
+            self, "sqrt_one_minus_alpha_bars", tuple(math.sqrt(max(1.0 - a, 0.0)) for a in abar)
+        )
 
     @classmethod
     def from_betas(cls, betas) -> "NoiseSchedule":
@@ -80,45 +93,55 @@ def forward_noise(x0, t: int, eps, schedule: NoiseSchedule) -> np.ndarray:
     return np.sqrt(ab) * x0 + np.sqrt(1.0 - ab) * eps
 
 
-def estimate_x0(x_t, t: int, eps_hat, schedule: NoiseSchedule) -> np.ndarray:
-    """Invert the forward mixing under a noise estimate."""
+def _matching(x_t, eps_hat):
     x_t = np.asarray(x_t, dtype=float)
     eps_hat = np.asarray(eps_hat, dtype=float)
     if x_t.shape != eps_hat.shape:
         raise DimensionMismatchError("x_t and eps_hat must have identical shapes")
+    return x_t, eps_hat
+
+
+def _require_invertible(t: int, schedule: NoiseSchedule) -> None:
     ab = schedule.alpha_bar(t)
     if ab < ALPHA_BAR_FLOOR:
         raise DegenerateAlphaError(f"alpha_bar({t}) = {ab:.3e} too small to invert")
-    # math.sqrt is correctly rounded, like np.sqrt, at less cost per call
-    return (x_t - math.sqrt(1.0 - ab) * eps_hat) / math.sqrt(ab)
 
 
-def ddim_step(
-    x_t,
-    t: int,
-    eps_hat,
-    schedule: NoiseSchedule,
-    t_prev: int | None = None,
-    x0_hat=None,
-) -> np.ndarray:
-    """One deterministic reverse transition t -> t_prev (default t - 1).
+def _clean_estimate(x_t, t: int, eps_hat, schedule: NoiseSchedule) -> np.ndarray:
+    return (x_t - schedule.sqrt_one_minus_alpha_bars[t] * eps_hat) / schedule.sqrt_alpha_bars[t]
+
+
+def estimate_x0(x_t, t: int, eps_hat, schedule: NoiseSchedule) -> np.ndarray:
+    """Invert the forward mixing under a noise estimate."""
+    x_t, eps_hat = _matching(x_t, eps_hat)
+    _require_invertible(t, schedule)
+    return _clean_estimate(x_t, t, eps_hat, schedule)
+
+
+def ddim_transition(x_t, t: int, eps_hat, schedule: NoiseSchedule, t_prev: int):
+    """(clean estimate, output) of one deterministic reverse transition
+    t -> t_prev.
 
     t_prev may skip levels, which is how a short trajectory covers the
-    whole schedule.  A caller that already holds
-    ``estimate_x0(x_t, t, eps_hat, schedule)`` passes it as ``x0_hat``.
+    whole schedule.  Raises on an invalid transition, a level too noisy
+    to invert, and a non-finite output.
     """
-    if t_prev is None:
-        t_prev = t - 1
     if not 0 <= t_prev < t <= schedule.T:
         raise ConfigError(f"invalid transition {t} -> {t_prev}")
-    x_t = np.asarray(x_t, dtype=float)
-    eps_hat = np.asarray(eps_hat, dtype=float)
-    if x0_hat is None:
-        x0_hat = estimate_x0(x_t, t, eps_hat, schedule)
-    ab_p = schedule.alpha_bar(t_prev)
-    out = math.sqrt(ab_p) * x0_hat + math.sqrt(max(1.0 - ab_p, 0.0)) * eps_hat
+    x_t, eps_hat = _matching(x_t, eps_hat)
+    _require_invertible(t, schedule)
+    x0_hat = _clean_estimate(x_t, t, eps_hat, schedule)
+    out = (
+        schedule.sqrt_alpha_bars[t_prev] * x0_hat
+        + schedule.sqrt_one_minus_alpha_bars[t_prev] * eps_hat
+    )
     require_finite(out, "ddim step")
-    return out
+    return x0_hat, out
+
+
+def ddim_step(x_t, t: int, eps_hat, schedule: NoiseSchedule, t_prev: int | None = None) -> np.ndarray:
+    """One deterministic reverse transition t -> t_prev (default t - 1)."""
+    return ddim_transition(x_t, t, eps_hat, schedule, t - 1 if t_prev is None else t_prev)[1]
 
 
 # ---------------------------------------------------------------------------
@@ -218,9 +241,15 @@ def train_noise_model(
 
 
 def model_schedule(model: TrainedModel) -> NoiseSchedule:
+    """The model's noise schedule, built on first use and reused while
+    ``model.extra["schedule_betas"]`` is the same array object; the
+    cache is not part of the saved model."""
     if "schedule_betas" not in model.extra:
         raise ConfigError("model carries no noise schedule")
-    return NoiseSchedule.from_betas(np.asarray(model.extra["schedule_betas"], dtype=float))
+    betas = model.extra["schedule_betas"]
+    if model.schedule_cache is None or model.schedule_cache[0] is not betas:
+        model.schedule_cache = (betas, NoiseSchedule.from_betas(np.asarray(betas, dtype=float)))
+    return model.schedule_cache[1]
 
 
 def generate(

@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .diffusion import NoiseSchedule, ddim_step, estimate_x0, model_schedule
+from .diffusion import NoiseSchedule, ddim_transition, model_schedule
 from .errors import ConfigError, NonFiniteGradientError
 from .model_store import TrainedModel
 from .numerics import as_vector, require_finite
@@ -107,15 +107,23 @@ def descent_direction(pot: ConstraintPotential, x):
     """Unit steepest-descent direction, or None at or below GRAD_FLOOR.
 
     Returns (delta, grad_norm, phi) from one evaluation of the
-    potential's value and gradient at x.  Raises NonFiniteGradientError
-    when the gradient has non-finite entries.
+    potential's value and gradient at x: through its point protocol
+    ``value_and_grad`` when it has one, else as a one-row batch.
+    Raises NonFiniteGradientError when the gradient has non-finite
+    entries.
     """
-    phi, g = pot.value_and_grad_batch(np.asarray(x, dtype=float)[None, :])
-    g = g[0]
-    if not np.isfinite(g).all():
+    x = np.asarray(x, dtype=float)
+    point = getattr(pot, "value_and_grad", None)
+    if point is not None:
+        phi, g = point(x.tolist())
+        g = np.array(g, dtype=float)
+    else:
+        phi, g = pot.value_and_grad_batch(x[None, :])
+        phi, g = phi[0], g[0]
+    if np.count_nonzero(np.isfinite(g)) != g.size:
         raise NonFiniteGradientError(f"potential gradient non-finite at {x}")
     norm = math.sqrt(g.dot(g))  # the bits of np.linalg.norm on a real vector
-    phi = float(phi[0])
+    phi = float(phi)
     if norm <= GRAD_FLOOR:
         return None, norm, phi
     return g / -norm, norm, phi  # the bits of -g / norm, one array operation fewer
@@ -135,15 +143,16 @@ def compute_gamma(
     docstring.  The denominator 1 + lam * ||grad||^2 is at least one,
     so the expression is always well defined.
     """
-    return _gamma_and_dot(r, delta, phi, grad_norm, lam, clip)[:2]
-
-
-def _gamma_and_dot(r, delta, phi, grad_norm, lam, clip):
-    """``compute_gamma``'s (gamma, clipped), and <r, delta>."""
     r = as_vector(r, "r")
     delta = as_vector(delta, "delta")
     if r.shape != delta.shape:
         raise ConfigError("r and delta must have matching shapes")
+    return _gamma_and_dot(r, delta, phi, grad_norm, lam, clip)[:2]
+
+
+def _gamma_and_dot(r, delta, phi, grad_norm, lam, clip):
+    """``compute_gamma``'s (gamma, clipped), and <r, delta>, for vectors
+    of one shape."""
     r_delta = float(r.dot(delta))
     gamma = (r_delta + lam * phi * grad_norm) / (1.0 + lam * grad_norm * grad_norm)
     clipped = False
@@ -172,9 +181,7 @@ def guided_step(
     """
     if t_prev is None:
         t_prev = t - 1
-    x_t = as_vector(x_t, "x_t")
-    x0_hat = estimate_x0(x_t, t, eps_hat, schedule)
-    x_prev = ddim_step(x_t, t, eps_hat, schedule, t_prev=t_prev, x0_hat=x0_hat)
+    x0_hat, x_prev = ddim_transition(as_vector(x_t, "x_t"), t, eps_hat, schedule, t_prev)
     r = x0_hat - x_prev
     dist = math.sqrt(r.dot(r))
     delta, grad_norm, phi = descent_direction(pot, x_prev)

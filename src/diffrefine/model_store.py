@@ -40,6 +40,8 @@ class TrainedModel:
     kind is one of "regressor", "classifier", "noise".  For noise
     predictors, x_norm normalizes the condition vector and y_norm the
     sample space; extra carries the noise schedule coefficients.
+    schedule_cache holds what ``diffusion.model_schedule`` built from
+    them; ``save_model`` never writes it.
     """
 
     kind: str
@@ -50,6 +52,7 @@ class TrainedModel:
     train_config: dict = field(default_factory=dict)
     loss_history: np.ndarray = field(default_factory=lambda: np.zeros(0))
     extra: dict = field(default_factory=dict)
+    schedule_cache: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def predict(self, x) -> np.ndarray:
         """Regressor-style prediction in physical units, for one row or a batch."""

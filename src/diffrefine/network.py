@@ -22,9 +22,14 @@ from .numerics import Rng
 
 
 def _sigmoid(z):
-    """Logistic function; exp only ever sees -|z|, so it cannot overflow."""
-    e = np.exp(-np.abs(z))
-    return np.where(z >= 0, 1.0, e) / (1.0 + e)
+    """Logistic function, exp(min(z, 0)) / (1 + exp(-|z|)); neither exp
+    can overflow.
+
+    The numerator has the bits of np.where(z >= 0, 1.0, exp(-|z|)), at
+    less cost: for z < 0 it is exp of the same -|z|, exp(0) is exactly
+    1, and NaN stays NaN.
+    """
+    return np.exp(np.minimum(z, 0.0)) / (1.0 + np.exp(-np.abs(z)))
 
 
 def silu(z):
@@ -171,8 +176,8 @@ class FeedForwardNet:
         self.params = params
         self.weights, self.biases = _layer_views(spec, params)
         self._embed = TimeEmbedding(spec.time_dim) if spec.time_dim else None
-        # (t, rows) -> embedding of one scalar step t for that many rows
-        self._embedded = {}
+        # (t, rows) -> input rows holding the embedding of one scalar step t
+        self._step_rows = {}
         self._skip_into = {dst: src for src, dst in spec.skip_pairs()}
 
     @classmethod
@@ -202,7 +207,16 @@ class FeedForwardNet:
             )
         self.params[...] = flat
 
-    def _assemble_input(self, x, t, cond) -> np.ndarray:
+    def _assemble_input(self, x, t, cond, keep: bool = False) -> np.ndarray:
+        """The net's input rows: x, then the step embedding, then the
+        condition.
+
+        A lone C-contiguous x is returned as it is.  For a scalar step t
+        the rows are written into a block memoized per (t, row count),
+        which holds that step's embedding already; the block itself is
+        returned, to be used before the next call, unless ``keep`` asks
+        for a copy the caller may hold.
+        """
         x = np.asarray(x, dtype=float)
         if x.ndim == 1:
             x = x[None, :]
@@ -211,17 +225,15 @@ class FeedForwardNet:
                 f"x has width {x.shape[1]}, expected {self.spec.x_dim}"
             )
         parts = [x]
+        step = None  # a scalar step t, as a float
         if self.spec.time_dim:
             if t is None:
                 raise DimensionMismatchError("net expects a step input t")
             # isinstance first: np.ndim costs about a microsecond on a Python number
-            if not isinstance(t, (int, float)) and np.ndim(t) != 0:
-                parts.append(self._embed.batch(np.asarray(t, dtype=float)))
+            if isinstance(t, (int, float)) or np.ndim(t) == 0:
+                step = float(t)
             else:
-                key = (float(t), x.shape[0])
-                if key not in self._embedded:
-                    self._embedded[key] = self._embed.batch(np.full(x.shape[0], float(t)))
-                parts.append(self._embedded[key])
+                parts.append(self._embed.batch(np.asarray(t, dtype=float)))
         if self.spec.cond_dim:
             if cond is None:
                 raise DimensionMismatchError("net expects a condition vector")
@@ -233,6 +245,19 @@ class FeedForwardNet:
                     f"condition has width {c.shape[1]}, expected {self.spec.cond_dim}"
                 )
             parts.append(c)
+        if step is not None:
+            x_dim, t_end = self.spec.x_dim, self.spec.x_dim + self.spec.time_dim
+            block = self._step_rows.get((step, x.shape[0]))
+            if block is None:
+                block = np.empty((x.shape[0], self.spec.in_dim))
+                block[:, x_dim:t_end] = self._embed.batch(np.full(x.shape[0], step))
+                self._step_rows[step, x.shape[0]] = block
+            block[:, :x_dim] = x
+            if self.spec.cond_dim:
+                block[:, t_end:] = c
+            return block.copy() if keep else block
+        if len(parts) == 1 and x.flags.c_contiguous:
+            return x  # what concatenate would copy
         return np.concatenate(parts, axis=1)
 
     def forward(self, x, t=None, cond=None) -> np.ndarray:
@@ -242,7 +267,7 @@ class FeedForwardNet:
 
     def forward_batch(self, x, t=None, cond=None, want_cache: bool = False):
         """Batched forward pass; returns (outputs, cache or None)."""
-        inp = self._assemble_input(x, t, cond)
+        inp = self._assemble_input(x, t, cond, keep=want_cache)
         m = len(self.spec.hidden)
         cache = ForwardCache(inputs=inp) if want_cache else None
         a = inp

@@ -49,9 +49,14 @@ class ConstraintPotential:
 
     ``value``, ``grad`` and ``grad_batch`` derive from these two.  A
     subclass that gets both from one evaluation on a single point may
-    also add ``value_and_grad(x) -> (value, gradient as a list of
-    floats)``, which must not raise on a non-finite gradient;
-    ``gradient_descent`` then calls it at every trial point.
+    also add the point protocol ``value_and_grad(x) -> (value, gradient
+    as a list of floats)``: Python floats in and out, the bits of its
+    one-row ``value_and_grad_batch``, and no raise on a non-finite
+    gradient.  ``MullerBrownPotential`` and ``RelationalConstraintSet``
+    implement it; ``NormalizedPotential`` has it exactly when its base
+    does, and forwards each point to the base's on Python floats.
+    ``gradient_descent`` calls it at every trial point, and the guided
+    step's ``descent_direction`` once per step.
     """
 
     dim: int = 0
@@ -108,7 +113,10 @@ class NormalizedPotential(ConstraintPotential):
 
     The wrapped potential lives in physical coordinates y; this view
     evaluates at z with y = mean + scale * z, so gradients pick up a
-    factor of ``scale`` by the chain rule.
+    factor of ``scale`` by the chain rule.  The view of a base with the
+    point protocol ``value_and_grad`` has it too: it forwards a point to
+    the base's on Python floats, with the elementwise products and sums
+    of the array path.
     """
 
     def __init__(self, base: ConstraintPotential, mean, scale):
@@ -116,6 +124,22 @@ class NormalizedPotential(ConstraintPotential):
         self.mean = np.asarray(mean, dtype=float)
         self.scale = np.asarray(scale, dtype=float)
         self.dim = base.dim
+        self._pairs = None  # (mean, scale) per coordinate, for the point protocol
+        if hasattr(base, "value_and_grad"):
+            self._pairs = tuple(zip(self.mean.tolist(), self.scale.tolist()))
+
+    @property
+    def value_and_grad(self):
+        """The base's ``value_and_grad`` at y = mean + scale * z; absent
+        (AttributeError) when the base has none."""
+        if self._pairs is None:
+            raise AttributeError("the base potential has no value_and_grad")
+        return self._scaled_point
+
+    def _scaled_point(self, z):
+        pairs = self._pairs
+        phi, g = self.base.value_and_grad([m + s * v for (m, s), v in zip(pairs, z)])
+        return phi, [s * gi for (_, s), gi in zip(pairs, g)]
 
     def value_batch(self, zs) -> np.ndarray:
         zs = np.asarray(zs, dtype=float)
@@ -401,10 +425,17 @@ class RelationalConstraintSet(ConstraintPotential):
             for name in self._term_features(term):
                 if name not in self._index:
                     raise ValidationError(f"constraint references unknown feature {name!r}")
-        # Column indices of each term's features, resolved once.
-        self._term_cols = tuple(
-            tuple(self._index[name] for name in self._term_features(term)) for term in self.terms
-        )
+        self._resolved = tuple(self._resolve(term) for term in self.terms)
+
+    def _resolve(self, term) -> tuple:
+        """(kind, columns, constants) of a term, its feature names
+        resolved to column indices once."""
+        cols = tuple(self._index[name] for name in self._term_features(term))
+        if isinstance(term, LinearSumTerm):
+            return "linear_sum", tuple(zip(cols, term.weights)), term.offset
+        if isinstance(term, RangeTerm):
+            return "range", cols, (term.lower, term.upper)
+        return ("product" if isinstance(term, ProductTerm) else "order"), cols, None
 
     @staticmethod
     def _term_features(term):
@@ -431,20 +462,25 @@ class RelationalConstraintSet(ConstraintPotential):
         """
         res = []
         g = [0.0] * self.dim if grad else None
-        for term, idx in zip(self.terms, self._term_cols):
-            if isinstance(term, LinearSumTerm):
-                c = sum(w * cols[i] for i, w in zip(idx, term.weights)) - term.offset
+        for kind, idx, const in self._resolved:
+            if kind == "linear_sum":
+                # Left to right from 0.0, as builtin sum adds before
+                # Python 3.12 (which compensates float sums, not array sums).
+                c = 0.0
+                for i, w in idx:
+                    c = c + w * cols[i]
+                c = c - const
                 if grad:
-                    for i, w in zip(idx, term.weights):
+                    for i, w in idx:
                         g[i] += 2.0 * c * w
-            elif isinstance(term, ProductTerm):
+            elif kind == "product":
                 ir, il, iright = idx
                 c = cols[ir] - cols[il] * cols[iright]
                 if grad:
                     g[ir] += 2.0 * c
                     g[il] += -2.0 * c * cols[iright]
                     g[iright] += -2.0 * c * cols[il]
-            elif isinstance(term, OrderTerm):
+            elif kind == "order":
                 i_s, i_l = idx
                 z = cols[i_s] - cols[i_l]
                 c = relu(z)
@@ -452,12 +488,13 @@ class RelationalConstraintSet(ConstraintPotential):
                     active = indicator(z > 0.0)
                     g[i_s] += 2.0 * c * active
                     g[i_l] += -2.0 * c * active
-            else:  # RangeTerm; the constructor rejects any other kind
+            else:  # range
                 (i_f,) = idx
+                lower, upper = const
                 v = cols[i_f]
-                c = relu(v - term.upper) + relu(term.lower - v)
+                c = relu(v - upper) + relu(lower - v)
                 if grad:
-                    slope = indicator(v > term.upper) - indicator(v < term.lower)
+                    slope = indicator(v > upper) - indicator(v < lower)
                     g[i_f] += 2.0 * c * slope
             res.append(c)
         return res, g
@@ -479,6 +516,13 @@ class RelationalConstraintSet(ConstraintPotential):
         for i, gi in enumerate(g):
             out[:, i] = gi
         return r, out
+
+    def value_and_grad(self, x):
+        """(value, gradient as a list of floats) at one point, on Python
+        floats; the value is summed by the reduction the batch path uses."""
+        res, g = self._terms_at([float(v) for v in x], _relu_float, float, True)
+        r = np.array(res)
+        return float(np.add.reduce(r * r)), g
 
     def residuals_batch(self, xs) -> np.ndarray:
         """Per-term residuals c_r for a batch, shape (n, n_terms)."""

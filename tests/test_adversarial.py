@@ -1,5 +1,7 @@
 """Synthetic tabular task, classifier, and constrained attacks."""
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -199,6 +201,25 @@ class TestPgdAttack:
         cfg = AttackConfig(eps=0.3, step=0.075, k=3, cycles=2)
         x_adv = pgd_attack(model, ds.test.features[:4], ds.test.labels[:4], cfg, pot)
         assert x_adv.shape == (4, pot.dim)
+
+
+def test_project_gives_the_bytes_of_clip():
+    # Every combination of value, ball bounds and feature bounds drawn
+    # from signed zeros, ones, infinities and NaN, in the array shapes
+    # the attacks pass.  (np.clip with scalar bounds keeps a -0.0 that
+    # np.maximum turns into 0.0; _project never gets scalar bounds.)
+    from diffrefine.adversarial import _project
+
+    vals = [0.0, -0.0, 1.0, -1.0, np.inf, -np.inf, np.nan]
+    grid = np.array(list(itertools.product(vals, repeat=3)))
+    z, ball_lo, ball_hi = grid[:, 0][None, :], grid[:, 1][None, :], grid[:, 2][None, :]
+    z = np.vstack([z, z[:, ::-1]])
+    ball = (np.vstack([ball_lo, ball_lo]), np.vstack([ball_hi, ball_hi]))
+    for lo, hi in itertools.product(vals, repeat=2):
+        lo_row = np.full(grid.shape[0], lo)
+        hi_row = np.full(grid.shape[0], hi)
+        want = np.clip(np.clip(z, ball[0], ball[1]), lo_row[None, :], hi_row[None, :])
+        assert _project(z, ball, lo_row, hi_row).tobytes() == want.tobytes()
 
 
 class TestPenaltyPgdAttack:

@@ -10,7 +10,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from diffrefine.diffusion import NoiseSchedule, ddim_step, make_schedule
-from diffrefine.errors import ConfigError, NonFiniteGradientError
+from diffrefine.errors import ConfigError, NonFiniteError, NonFiniteGradientError
 from diffrefine.guidance import (
     RefineConfig,
     compute_gamma,
@@ -161,6 +161,17 @@ class TestDescentDirection:
         with pytest.raises(NonFiniteGradientError):
             descent_direction(pot, np.array([1.0]))
 
+    @pytest.mark.parametrize("pos", [0, 2, 4])
+    def test_nan_entry_anywhere_raises(self, pos):
+        def grad(x):
+            g = 2.0 * x
+            g[pos] = np.nan
+            return g
+
+        pot = CallablePotential(5, lambda x: float(x @ x), grad)
+        with pytest.raises(NonFiniteGradientError):
+            descent_direction(pot, np.arange(1.0, 6.0))
+
 
 def two_level_schedule():
     # alpha_bars = [1, 0.5, 0.25]
@@ -192,6 +203,21 @@ class TestGuidedStep:
         plain = ddim_step(x, 12, e, s)
         assert np.array_equal(guided, plain)
         assert rec.gamma == 0.0
+
+    def test_non_finite_step_raises(self):
+        # A finite gradient and an infinite violation: gamma, and so the
+        # corrected step, is infinite.
+        s = make_schedule(30)
+        pot = CallablePotential(2, lambda x: np.inf, lambda x: np.array([3.0, 4.0]))
+        cfg = RefineConfig(steps=30, lam=1.0)
+        with pytest.raises(NonFiniteError, match="guided step"):
+            guided_step(np.array([0.1, 0.2]), 12, np.array([0.3, -0.1]), pot, s, cfg)
+
+    def test_non_finite_transition_raises(self):
+        s = make_schedule(30)
+        cfg = RefineConfig(steps=30)
+        with pytest.raises(NonFiniteError, match="ddim step"):
+            guided_step(np.array([0.1, np.inf]), 12, np.zeros(2), ZeroPotential(2), s, cfg)
 
     def test_cos_angle_range(self):
         s = make_schedule(30)

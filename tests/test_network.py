@@ -446,6 +446,21 @@ class TestBitIdentity:
                 got = net._assemble_input(x, t, None)[:, 3:]
                 assert got.tobytes() == fresh.tobytes()
 
+    def test_kept_step_inputs_survive_the_next_call(self):
+        # A scalar step's input rows are written into a memoized block; a
+        # forward pass that keeps its cache holds a copy of it.
+        spec = NetSpec(x_dim=3, hidden=(4,), out_dim=3, time_dim=8, cond_dim=2)
+        net = FeedForwardNet.init(spec, Rng(13))
+        rng = Rng(14)
+        x, c = rng.normal((2, 3)), rng.normal(2)
+        _, cache = net.forward_batch(x, t=5, cond=c, want_cache=True)
+        kept = cache.inputs.copy()
+        net.forward(rng.normal((2, 3)), t=5, cond=rng.normal(2))
+        assert cache.inputs.tobytes() == kept.tobytes()
+        assert kept.tobytes() == np.concatenate(
+            [x, TimeEmbedding(8).batch(np.full(2, 5.0)), np.broadcast_to(c, (2, 2))], axis=1
+        ).tobytes()
+
     # Recorded before the flat parameter buffer, the cached sigmoid and the
     # in-place Adam replaced per-layer arrays and per-step copies, with
     # numpy's bundled OpenBLAS on x86-64 (a BLAS built for other hardware

@@ -15,6 +15,7 @@ from diffrefine.numerics import (
     derive_seed,
     finite_diff_grad,
     finite_diff_jacobian,
+    require_finite,
     solve_linear,
 )
 
@@ -79,6 +80,21 @@ class TestSolveLinear:
         x_true = rng.normal(n)
         x = solve_linear(a, a @ x_true)
         assert np.allclose(x, x_true, atol=1e-8, rtol=1e-8)
+
+
+class TestRequireFinite:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("shape", [(7,), (3, 4)])
+    def test_any_non_finite_entry_raises(self, bad, shape):
+        for pos in range(int(np.prod(shape))):
+            a = np.arange(np.prod(shape), dtype=float).reshape(shape)
+            a.flat[pos] = bad
+            with pytest.raises(NonFiniteError, match="probe contains a non-finite entry"):
+                require_finite(a, "probe")
+
+    @pytest.mark.parametrize("a", [np.zeros(0), np.zeros((0, 3)), np.array(2.5), np.array(-0.0)])
+    def test_empty_and_finite_scalar_arrays_pass(self, a):
+        assert require_finite(a) is a
 
 
 class TestFiniteDiff:

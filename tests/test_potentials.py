@@ -437,6 +437,10 @@ def assert_relational_matches_reference(pot, xs):
         _same_bytes(g, g_ref[i : i + 1])
         _same_bytes(pot.grad(xs[i]), g_ref[i])
         _same_bytes([pot.value(xs[i])], phi_ref[i : i + 1])
+        # The point protocol, on Python floats.
+        phi, g = pot.value_and_grad(xs[i])
+        _same_bytes([phi], phi_ref[i : i + 1])
+        _same_bytes(g, g_ref[i])
 
 
 SPECIAL_ENTRIES = np.array([0.0, -0.0, np.inf, -np.inf, np.nan])
@@ -504,6 +508,22 @@ def relational_schemas(draw):
             lower = draw(st.sampled_from([-3.0, -0.5, -0.0, 0.0, 1.0]))
             terms.append(RangeTerm(draw(feature), lower, lower + draw(st.sampled_from([0.5, 3.0]))))
     return RelationalConstraintSet(names, [[-1.0, 1.0]] * dim, terms)
+
+
+def test_linear_sum_adds_left_to_right_on_every_path():
+    # Python >= 3.12's builtin sum compensates a sum of floats (giving
+    # 1.0 here) but not a sum of arrays, so a float row summed with it
+    # disagrees with the batch path; every path adds left to right.
+    pot = RelationalConstraintSet(
+        ["a", "b", "c"], [[-2e16, 2e16]] * 3, [LinearSumTerm(("a", "b", "c"), (1.0, 1.0, 1.0))]
+    )
+    x = np.array([[1e16, 1.0, -1e16]])
+    zero = np.zeros((1, 1)).tobytes()
+    assert reference_residuals(pot, x).tobytes() == zero
+    assert pot.residuals_batch(x).tobytes() == zero  # one row: Python floats
+    assert pot.residuals_batch(np.vstack([x, x]))[1:].tobytes() == zero  # arrays
+    value, grad = pot.value_and_grad(x[0])
+    assert np.array([value]).tobytes() == np.zeros(1).tobytes() and grad == [0.0, 0.0, 0.0]
 
 
 class TestRelationalKernel:
@@ -642,6 +662,18 @@ class TestTwoKernels:
                     # Flat Müller–Brown pocket: one derived row takes the
                     # float kernel, +0.0 where the array path may give -0.0.
                     assert np.array_equal(got, want) and not np.signbit(got).any()
+
+    def test_normalized_point_protocol_follows_its_base(self):
+        for base, mean, scale, zs in _normalized_cases():
+            view = NormalizedPotential(base, mean, scale)
+            assert hasattr(view, "value_and_grad") == hasattr(base, "value_and_grad")
+            if not hasattr(base, "value_and_grad"):
+                continue
+            for z in zs:
+                phi, g = view.value_and_grad(z.tolist())
+                want_phi, want_g = view.value_and_grad_batch(z[None, :])
+                _same_bytes(np.array([phi]), want_phi)
+                _same_bytes(g, want_g[0])
 
     def test_relational_value_matches_the_removed_formula(self):
         schema = load_schema()

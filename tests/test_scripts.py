@@ -6,6 +6,8 @@ experiment run.
 """
 
 import json
+import re
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -57,3 +59,20 @@ def test_find_toy_starts():
     out = _run("find_toy_starts.py", "--grid", "1", "--ring", "1")
     assert "of 1 grid points qualify" in out
     assert "of 1 ring points qualify" in out
+
+
+def test_ab_pairs(tmp_path):
+    # One pair of a copy of this tree against itself, so that the runs'
+    # records land in the copy.
+    tree = tmp_path / "tree"
+    ignore = shutil.ignore_patterns("results", "__pycache__")
+    for part in ("src", "perfbench"):
+        shutil.copytree(SCRIPTS.parent / part, tree / part, ignore=ignore)
+    out = _run("ab_pairs.py", "--parent", str(tree), "--change", str(tree),
+               "--workload", "pf30-scenarios", "--pairs", "1", "--seed", "3", "--seconds", "0.5")
+    lines = out.splitlines()
+    assert any(line.startswith(" pair 1 seed 3 first parent:") and "digest equal" in line
+               for line in lines)
+    for metric in ("setup_s", "peak_rss_mb", "rows_per_s", "pass_s"):
+        assert any(line.strip().startswith(metric) and re.search(r"wins [01]/1", line)
+                   for line in lines)
