@@ -15,8 +15,11 @@ how many pairs the change won (ties count for neither), and one verdict:
   ok          neither
 
 It also reports, per pair, failed operations and whether both sides
-produced the same output digest.  Each run writes its record under its
-own tree's ``perfbench/results/``, as run.py always does.
+produced the same output digest.  After the summaries it exits 1, naming
+the pairs, if any pair's digests differ or any run failed an operation,
+so that a bit-for-bit claim cannot pass unnoticed.  Each run writes its
+record under its own tree's ``perfbench/results/``, as run.py always
+does.
 
     python3 scripts/ab_pairs.py --parent ../parent --change . \\
         --workload tabular-cyclic --pairs 10 --seed 9100 --seconds 24
@@ -75,6 +78,21 @@ def summarize(name: str, better: str, bound: float, parent: list, change: list) 
     )
 
 
+def pair_faults(workload: str, seeds: list, parent: list, change: list) -> list:
+    """One line per pair whose output digests differ or whose runs
+    failed operations; empty when every pair is clean."""
+    faults = []
+    for seed, p, c in zip(seeds, parent, change):
+        what = []
+        if p["digest"] != c["digest"]:
+            what.append("output digests differ")
+        if p["failed"] or c["failed"]:
+            what.append(f"failed operations {p['failed']}/{c['failed']} (parent/change)")
+        if what:
+            faults.append(f"{workload} pair seed {seed}: {', '.join(what)}")
+    return faults
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--parent", type=Path, required=True, help="source tree of the parent")
@@ -91,6 +109,7 @@ def main(argv=None) -> int:
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
     metrics = [(m["name"], m["better"], float(m["bound"])) for m in spec["end_to_end"]]
     trees = {"parent": args.parent.resolve(), "change": args.change.resolve()}
+    faults = []
     for workload in args.workload:
         runs = {"parent": [], "change": []}
         print(f"{workload}: {args.pairs} pairs, seeds {args.seed}..{args.seed + args.pairs - 1}, "
@@ -114,7 +133,11 @@ def main(argv=None) -> int:
                 [r["metrics"][name]["value"] for r in runs["parent"]],
                 [r["metrics"][name]["value"] for r in runs["change"]],
             ))
-    return 0
+        seeds = [args.seed + i for i in range(args.pairs)]
+        faults += pair_faults(workload, seeds, runs["parent"], runs["change"])
+    for line in faults:
+        print(f"FAIL {line}", file=sys.stderr)
+    return 1 if faults else 0
 
 
 if __name__ == "__main__":

@@ -81,15 +81,24 @@ def make_schedule(T: int, beta_min: float = 1e-4, beta_max: float = 0.02) -> Noi
     return NoiseSchedule.from_betas(np.linspace(beta_min, beta_max, T))
 
 
-def forward_noise(x0, t: int, eps, schedule: NoiseSchedule) -> np.ndarray:
-    """Corrupt x0 to step t with the provided noise draw."""
+def forward_noise(x0, t, eps, schedule: NoiseSchedule) -> np.ndarray:
+    """Corrupt x0 to step t with the provided noise draw.  t is one
+    step, or one step per row of a two-dimensional x0."""
     x0 = np.asarray(x0, dtype=float)
     eps = np.asarray(eps, dtype=float)
     if x0.shape != eps.shape:
         raise DimensionMismatchError("x0 and eps must have identical shapes")
-    if not 1 <= t <= schedule.T:
-        raise ConfigError(f"step {t} outside [1, {schedule.T}]")
-    ab = schedule.alpha_bar(t)
+    steps = np.asarray(t)
+    if steps.ndim and (x0.ndim != 2 or steps.shape != x0.shape[:1]):
+        raise DimensionMismatchError(
+            f"steps of shape {steps.shape} do not give one step per row of {x0.shape}"
+        )
+    bad = (steps < 1) | (steps > schedule.T)
+    if bad.any():
+        raise ConfigError(f"step {steps[bad][0]} outside [1, {schedule.T}]")
+    ab = schedule.alpha_bars[steps]
+    if steps.ndim:
+        ab = ab[:, None]
     return np.sqrt(ab) * x0 + np.sqrt(1.0 - ab) * eps
 
 
@@ -152,8 +161,7 @@ def _noised_draws(rng: Rng, z: np.ndarray, schedule: NoiseSchedule):
     """One (step, noise) draw per row of z, and the rows corrupted by it."""
     ts = rng.integers(1, schedule.T + 1, size=z.shape[0])
     eps = rng.normal(z.shape)
-    ab = schedule.alpha_bars[ts]
-    return ts, eps, np.sqrt(ab)[:, None] * z + np.sqrt(1.0 - ab)[:, None] * eps
+    return ts, eps, forward_noise(z, ts, eps, schedule)
 
 
 def train_noise_model(

@@ -332,3 +332,8 @@ class FeedForwardNet:
 
     def clone(self) -> "FeedForwardNet":
         return FeedForwardNet(self.spec, self.params.copy())
+
+    def __reduce__(self):
+        # Pickle rebuilds the layer views into the unpickled buffer and
+        # leaves the step-row memo behind.
+        return FeedForwardNet, (self.spec, self.params)

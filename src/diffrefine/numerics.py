@@ -56,6 +56,15 @@ def solve_linear(a, b) -> np.ndarray:
     Raises SingularMatrixError when the best available pivot falls
     below PIVOT_RTOL times the infinity norm of ``a``.  Written out
     rather than delegated so the singularity contract is explicit.
+
+    Elimination runs on one ``(n, n+1)`` array ``[a | b]``: each step
+    swaps whole rows and applies one rank-1 update to the trailing
+    block, right-hand side included.  Each entry still gets exactly
+    the textbook ``u[i, j] - (u[i, k] / u[k, k]) * u[k, j]``, so the
+    pivots, the solution bytes and the error text are those of a loop
+    that keeps ``b`` apart.  Back-substitution dots contiguous slices,
+    as that loop's ``@`` does, since a strided dot may sum in another
+    order.
     """
     a = as_matrix(a, "a")
     b = as_vector(b, "b")
@@ -69,26 +78,32 @@ def solve_linear(a, b) -> np.ndarray:
     if n == 0:
         return np.zeros(0)
 
-    u = a.copy()
-    x = b.copy()
-    norm_a = float(np.abs(u).sum(axis=1).max())
+    u = np.empty((n, n + 1))
+    u[:, :n] = a
+    u[:, n] = b
+    norm_a = float(np.abs(u[:, :n]).sum(axis=1).max())
     threshold = PIVOT_RTOL * max(norm_a, np.finfo(float).tiny)
+    scratch = np.empty((n - 1) * n)
     for k in range(n):
-        p = k + int(np.argmax(np.abs(u[k:, k])))
+        p = k + int(np.abs(u[k:, k]).argmax())
         if abs(u[p, k]) < threshold:
             raise SingularMatrixError(
                 f"pivot {abs(u[p, k]):.3e} below threshold {threshold:.3e} in column {k}"
             )
         if p != k:
             u[[k, p]] = u[[p, k]]
-            x[[k, p]] = x[[p, k]]
         if k + 1 < n:
             mult = u[k + 1 :, k] / u[k, k]
-            u[k + 1 :, k + 1 :] -= np.outer(mult, u[k, k + 1 :])
-            x[k + 1 :] -= mult * x[k]
-            u[k + 1 :, k] = 0.0
+            t = scratch[: (n - k - 1) * (n - k)].reshape(n - k - 1, n - k)
+            np.multiply(mult[:, None], u[k, k + 1 :], out=t)
+            u[k + 1 :, k + 1 :] -= t
+    x = u[:, n].copy()
+    diag = u.diagonal().tolist()
     for k in range(n - 1, -1, -1):
-        x[k] = (x[k] - u[k, k + 1 :] @ x[k + 1 :]) / u[k, k]
+        # A BLAS dot sums from +0.0; `.dot` of a one-entry slice returns
+        # the bare product instead, so a -0.0 product needs the 0.0 +.
+        dot = 0.0 + float(u[k, k + 1 : n].dot(x[k + 1 :]))
+        x[k] = (float(x[k]) - dot) / diag[k]
     require_finite(x, "solution")
     return x
 

@@ -1,6 +1,7 @@
 """Architecture, backprop exactness, training behavior, persistence."""
 
 import hashlib
+import pickle
 
 import numpy as np
 import pytest
@@ -269,6 +270,22 @@ class TestPersistence:
         a = model.net.forward(x, t=7)
         b = loaded.net.forward(x, t=7)
         assert np.array_equal(a, b)
+
+    def test_pickle_keeps_layers_views_of_params(self):
+        spec = NetSpec(x_dim=3, hidden=(8, 8), out_dim=2, time_dim=8, cond_dim=2, skips=True)
+        net = FeedForwardNet.init(spec, Rng(56))
+        x, cond = Rng(2).normal((4, 3)), Rng(3).normal(2)
+        before = net.forward(x, t=5, cond=cond)  # fills the step-row memo
+        copy = pickle.loads(pickle.dumps(net))
+        assert copy.spec == spec
+        assert copy._step_rows == {}
+        assert copy.forward(x, t=5, cond=cond).tobytes() == before.tobytes()
+        for layer in copy.weights + copy.biases:
+            assert np.shares_memory(layer, copy.params)
+        assert not np.shares_memory(copy.params, net.params)
+        copy.set_params(np.zeros(copy.param_count()))
+        assert all(not w.any() for w in copy.weights + copy.biases)
+        assert net.forward(x, t=5, cond=cond).tobytes() == before.tobytes()
 
     def test_predict_applies_normalization(self):
         spec = NetSpec(x_dim=1, hidden=(4,), out_dim=1, final_zero=True)

@@ -5,19 +5,26 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from diffrefine import baselines
 from diffrefine.errors import (
     DimensionMismatchError,
     NonFiniteError,
     SingularMatrixError,
 )
 from diffrefine.numerics import (
+    PIVOT_RTOL,
     Rng,
+    as_matrix,
+    as_vector,
     derive_seed,
     finite_diff_grad,
     finite_diff_jacobian,
     require_finite,
     solve_linear,
 )
+from diffrefine.potentials import muller_brown_potential
+from diffrefine.powerflow import load_case, newton_raphson, solver
+from diffrefine.powerflow.solver import load_injections
 
 
 class TestSolveLinear:
@@ -80,6 +87,153 @@ class TestSolveLinear:
         x_true = rng.normal(n)
         x = solve_linear(a, a @ x_true)
         assert np.allclose(x, x_true, atol=1e-8, rtol=1e-8)
+
+
+def reference_solve_linear(a, b, swaps=None) -> np.ndarray:
+    """The textbook LU that `solve_linear` replaced: the right-hand side
+    kept apart and updated by its own loop, the trailing block updated
+    by `np.outer`.  `swaps`, if given, collects the steps that swap rows."""
+    a = as_matrix(a, "a")
+    b = as_vector(b, "b")
+    n = a.shape[0]
+    u = a.copy()
+    x = b.copy()
+    norm_a = float(np.abs(u).sum(axis=1).max())
+    threshold = PIVOT_RTOL * max(norm_a, np.finfo(float).tiny)
+    for k in range(n):
+        p = k + int(np.argmax(np.abs(u[k:, k])))
+        if abs(u[p, k]) < threshold:
+            raise SingularMatrixError(
+                f"pivot {abs(u[p, k]):.3e} below threshold {threshold:.3e} in column {k}"
+            )
+        if p != k:
+            if swaps is not None:
+                swaps.append(k)
+            u[[k, p]] = u[[p, k]]
+            x[[k, p]] = x[[p, k]]
+        if k + 1 < n:
+            mult = u[k + 1 :, k] / u[k, k]
+            u[k + 1 :, k + 1 :] -= np.outer(mult, u[k, k + 1 :])
+            x[k + 1 :] -= mult * x[k]
+            u[k + 1 :, k] = 0.0
+    for k in range(n - 1, -1, -1):
+        x[k] = (x[k] - u[k, k + 1 :] @ x[k + 1 :]) / u[k, k]
+    require_finite(x, "solution")
+    return x
+
+
+def assert_same_solve(a, b):
+    """`solve_linear` and the reference give the same bytes, or raise
+    SingularMatrixError with the same text."""
+    try:
+        want = reference_solve_linear(a, b)
+    except SingularMatrixError as err:
+        with pytest.raises(SingularMatrixError) as got:
+            solve_linear(a, b)
+        assert str(got.value) == str(err)
+        return str(err)
+    got = solve_linear(a, b)
+    assert np.array_equal(got, want)
+    assert got.tobytes() == want.tobytes()  # the sign of zero too
+    return None
+
+
+def recorded_solves(monkeypatch, module, run) -> list:
+    """The (a, b) of every `solve_linear` call that `run()` makes
+    through `module`."""
+    calls = []
+
+    def spy(a, b):
+        calls.append((np.array(a, dtype=float), np.array(b, dtype=float)))
+        return solve_linear(a, b)
+
+    monkeypatch.setattr(module, "solve_linear", spy)
+    run()
+    monkeypatch.undo()
+    return calls
+
+
+class TestSolveLinearMatchesReference:
+    @pytest.mark.parametrize("name", ["ieee14", "ieee30"])
+    def test_newton_jacobians(self, monkeypatch, name):
+        case = load_case(name)
+        rng = Rng(19)
+
+        def run():
+            for _ in range(4):
+                pd = case.pd * (1.0 + 0.2 * rng.uniform(-1.0, 1.0, size=case.n))
+                qd = case.qd * (1.0 + 0.2 * rng.uniform(-1.0, 1.0, size=case.n))
+                pg = case.pg * float(pd.sum()) / float(case.pd.sum())
+                newton_raphson(case, injections=load_injections(case, pd, qd, pg))
+
+        calls = recorded_solves(monkeypatch, solver, run)
+        assert len(calls) >= 4 * 3
+        for a, b in calls:
+            assert a.shape == (case.n_unknowns, case.n_unknowns)
+            assert assert_same_solve(a, b) is None
+
+    def test_scalar_newton_hessians(self, monkeypatch):
+        demo = baselines.load_toy_demo()
+        pot = muller_brown_potential(margin=float(demo["model"]["margin"]))
+        starts = [s for group in demo["starts"].values() for s in group]
+        starts += [a.point + 0.05 for a in baselines.stationary_anchors()]
+
+        def run():
+            for s in starts:
+                baselines.newton_raphson_scalar(pot, np.array(s), iters=20)
+
+        calls = recorded_solves(monkeypatch, baselines, run)
+        assert len(calls) >= 20
+        for a, b in calls:
+            assert a.shape == (2, 2)
+            assert assert_same_solve(a, b) is None
+
+    def test_seeded_systems_with_row_swaps(self):
+        rng = Rng(2024)
+        for n in range(1, 61):
+            # Rows grow with their index, so the pivot of most columns
+            # sits below the diagonal.
+            a = rng.normal((n, n)) * np.arange(1.0, n + 1.0)[:, None]
+            b = rng.normal(n) * 1e3
+            swaps = []
+            reference_solve_linear(a, b, swaps)
+            if n >= 4:
+                assert len(swaps) > (n - 1) / 2
+            assert assert_same_solve(a, b) is None
+
+    def test_zeros_and_negative_zeros(self):
+        rng = Rng(7)
+        for n in (1, 2, 3, 5, 8, 13):
+            for _ in range(4):
+                a = rng.normal((n, n))
+                a[rng.uniform(size=(n, n)) < 0.4] = 0.0
+                a[rng.uniform(size=(n, n)) < 0.2] = -0.0
+                # adding a diagonal matrix would turn every -0.0 into +0.0
+                a[np.diag_indices(n)] += np.where(rng.uniform(size=n) < 0.5, 3.0, -3.0)
+                b = rng.normal(n)
+                b[rng.uniform(size=n) < 0.4] = 0.0
+                b[rng.uniform(size=n) < 0.3] = -0.0
+                for rhs in (b, np.zeros(n), -np.zeros(n)):
+                    assert assert_same_solve(a, rhs) is None
+        # 0.0 * -0.0 is -0.0, but a dot sums from +0.0: the first entry
+        # is (-0.0 - 0.0) / -2.0 = +0.0.
+        x = solve_linear(np.array([[-2.0, 0.0], [0.0, 3.0]]), -np.zeros(2))
+        assert np.signbit(x).tolist() == [False, True]
+
+    @pytest.mark.parametrize("n", [1, 2, 5, 9])
+    def test_singular_at_first_middle_and_last_column(self, n):
+        rng = Rng(31 + n)
+        b = rng.normal(n)
+        columns = sorted({0, n // 2, n - 1})
+        for col in columns:
+            a = rng.normal((n, n)) + n * np.eye(n)
+            if col == 0:
+                a[:, 0] = 0.0
+            else:
+                # a column that repeats an earlier one
+                a[:, col] = a[:, col - 1]
+            msg = assert_same_solve(a, b)
+            assert msg is not None and msg.endswith(f"in column {col}")
 
 
 class TestRequireFinite:

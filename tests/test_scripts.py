@@ -5,6 +5,7 @@ API change that breaks them shows here rather than at the next full
 experiment run.
 """
 
+import importlib.util
 import json
 import re
 import shutil
@@ -63,7 +64,7 @@ def test_find_toy_starts():
 
 def test_ab_pairs(tmp_path):
     # One pair of a copy of this tree against itself, so that the runs'
-    # records land in the copy.
+    # records land in the copy; equal digests and no failures exit 0.
     tree = tmp_path / "tree"
     ignore = shutil.ignore_patterns("results", "__pycache__")
     for part in ("src", "perfbench"):
@@ -76,3 +77,48 @@ def test_ab_pairs(tmp_path):
     for metric in ("setup_s", "peak_rss_mb", "rows_per_s", "pass_s"):
         assert any(line.strip().startswith(metric) and re.search(r"wins [01]/1", line)
                    for line in lines)
+
+
+def _load_ab_pairs():
+    spec = importlib.util.spec_from_file_location("ab_pairs", SCRIPTS / "ab_pairs.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_ab_pairs_faults_name_each_bad_pair():
+    ab_pairs = _load_ab_pairs()
+    clean = {"digest": "d0", "failed": 0}
+    assert ab_pairs.pair_faults("w", [1, 2], [clean, clean], [clean, clean]) == []
+    faults = ab_pairs.pair_faults(
+        "w", [1, 2, 3],
+        [clean, clean, {"digest": "d0", "failed": 2}],
+        [{"digest": "d1", "failed": 0}, clean, clean],
+    )
+    assert faults == [
+        "w pair seed 1: output digests differ",
+        "w pair seed 3: failed operations 2/0 (parent/change)",
+    ]
+
+
+def test_ab_pairs_exits_1_on_a_digest_mismatch(monkeypatch, capsys, tmp_path):
+    ab_pairs = _load_ab_pairs()
+    metrics = {"metrics": {name: {"value": 1.0}
+                           for name in ("setup_s", "peak_rss_mb", "rows_per_s", "pass_s")},
+               "failed": 0}
+
+    def run_once(tree, workload, seed, seconds):
+        return dict(metrics, digest=tree.name)
+
+    monkeypatch.setattr(ab_pairs, "run_once", run_once)
+    argv = ["--parent", str(tmp_path / "a"), "--change", str(tmp_path / "a"),
+            "--workload", "pf30-scenarios", "--pairs", "2", "--seed", "7"]
+    assert ab_pairs.main(argv) == 0
+    argv[3] = str(tmp_path / "b")
+    assert ab_pairs.main(argv) == 1
+    out, err = capsys.readouterr()
+    assert "rows_per_s" in out  # the summary is printed first
+    assert err.splitlines() == [
+        "FAIL pf30-scenarios pair seed 7: output digests differ",
+        "FAIL pf30-scenarios pair seed 8: output digests differ",
+    ]

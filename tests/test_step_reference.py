@@ -1,6 +1,7 @@
 """The one-row guided step and the PGD step against the per-step code
 they replaced, kept here as the reference, byte for byte; and the
-per-model schedule cache against the saved model and the process pool.
+per-model schedule cache against the saved model and the process pool;
+and the per-row corruption of training against the formula it replaced.
 
 The reference builds the schedule from the model on every call, takes
 math.sqrt of alpha_bar at every step, clips with np.clip, computes the
@@ -20,11 +21,12 @@ import pytest
 from diffrefine import adversarial, network
 from diffrefine.adversarial import AttackConfig, cyclic_attack, pgd_attack
 from diffrefine.baselines import POWER_REFINE, refine_power_batch
-from diffrefine.diffusion import NoiseSchedule, make_schedule, model_schedule
+from diffrefine.diffusion import NoiseSchedule, forward_noise, make_schedule, model_schedule
 from diffrefine.guidance import GRAD_FLOOR, RefineConfig, refine, step_subsequence
 from diffrefine.model_store import save_model
 from diffrefine.network import FeedForwardNet
-from diffrefine.numerics import as_vector, require_finite
+from diffrefine.errors import ConfigError, DimensionMismatchError
+from diffrefine.numerics import Rng, as_vector, require_finite
 from diffrefine.potentials import RelationalConstraintSet, muller_brown_potential
 from diffrefine.powerflow import build_ybus, injections_from_features, kirchhoff_potential
 
@@ -252,3 +254,33 @@ class TestScheduleCache:
         assert copy.schedule_cache[1].sqrt_alpha_bars == model.schedule_cache[1].sqrt_alpha_bars
         two = refine_power_batch(case, model, preds, ds.test.features[:4], workers=2)
         assert one.tobytes() == two.tobytes()
+
+
+class TestForwardNoisePerRow:
+    """Training corrupts its batches through `forward_noise` with one
+    step per row; the formula it spelled out before is the reference."""
+
+    def test_matches_training_formula_and_scalar_steps(self):
+        s = make_schedule(60, 1e-4, 0.03)
+        rng = Rng(41)
+        z = rng.normal((9, 3))
+        eps = rng.normal((9, 3))
+        ts = rng.integers(1, s.T + 1, size=9)
+        ab = s.alpha_bars[ts]
+        want = np.sqrt(ab)[:, None] * z + np.sqrt(1.0 - ab)[:, None] * eps
+        got = forward_noise(z, ts, eps, s)
+        assert got.tobytes() == want.tobytes()
+        for i, t in enumerate(ts.tolist()):
+            assert forward_noise(z[i], t, eps[i], s).tobytes() == want[i].tobytes()
+
+    def test_rejects_bad_steps(self):
+        s = make_schedule(10)
+        z = np.zeros((3, 2))
+        with pytest.raises(ConfigError, match=r"step 11 outside \[1, 10\]"):
+            forward_noise(z, np.array([1, 11, 0]), z, s)
+        with pytest.raises(ConfigError, match=r"step 0 outside \[1, 10\]"):
+            forward_noise(z, 0, z, s)
+        with pytest.raises(DimensionMismatchError):
+            forward_noise(z, np.array([1, 2]), z, s)
+        with pytest.raises(DimensionMismatchError):
+            forward_noise(z[0], np.array([1, 2]), z[0], s)
