@@ -14,12 +14,13 @@ how many pairs the change won (ties count for neither), and one verdict:
               than the bound
   ok          neither
 
-It also reports, per pair, failed operations and whether both sides
-produced the same output digest.  After the summaries it exits 1, naming
-the pairs, if any pair's digests differ or any run failed an operation,
-so that a bit-for-bit claim cannot pass unnoticed.  Each run writes its
-record under its own tree's ``perfbench/results/``, as run.py always
-does.
+It also reports, per pair, each side's attempted and failed operations
+(a run that attempts more operations keeps more outputs, which lifts
+peak_rss_mb) and whether both sides produced the same output digest.
+After the summaries it exits 1, naming the pairs, if any pair's digests
+differ or any run failed an operation, so that a bit-for-bit claim
+cannot pass unnoticed.  Each run writes its record under its own tree's
+``perfbench/results/``, as run.py always does.
 
     python3 scripts/ab_pairs.py --parent ../parent --change . \\
         --workload tabular-cyclic --pairs 10 --seed 9100 --seconds 24
@@ -125,7 +126,7 @@ def main(argv=None) -> int:
                 for name, _, _ in metrics
             )
             print(f" pair {i + 1} seed {seed} first {order[0]}: (parent/change) {values}  "
-                  f"failed {p['failed']}/{c['failed']}  "
+                  f"attempted {p['attempted']}/{c['attempted']}  failed {p['failed']}/{c['failed']}  "
                   f"digest {'equal' if p['digest'] == c['digest'] else 'DIFFERENT'}", flush=True)
         for name, better, bound in metrics:
             print(summarize(

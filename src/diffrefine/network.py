@@ -238,12 +238,13 @@ class FeedForwardNet:
             if cond is None:
                 raise DimensionMismatchError("net expects a condition vector")
             c = np.asarray(cond, dtype=float)
-            if c.ndim == 1:
-                c = np.broadcast_to(c, (x.shape[0], c.shape[0]))
-            if c.shape[1] != self.spec.cond_dim:
+            if c.shape[-1] != self.spec.cond_dim:
                 raise DimensionMismatchError(
-                    f"condition has width {c.shape[1]}, expected {self.spec.cond_dim}"
+                    f"condition has width {c.shape[-1]}, expected {self.spec.cond_dim}"
                 )
+            if c.ndim == 1 and step is None:
+                # the step block's slice assignment broadcasts on its own
+                c = np.broadcast_to(c, (x.shape[0], c.shape[0]))
             parts.append(c)
         if step is not None:
             x_dim, t_end = self.spec.x_dim, self.spec.x_dim + self.spec.time_dim

@@ -15,6 +15,7 @@ solver itself always flat-starts.
 
 from __future__ import annotations
 
+import functools
 import re
 from dataclasses import dataclass, field
 from importlib import resources
@@ -118,6 +119,44 @@ class GridCase:
     @property
     def n_unknowns(self) -> int:
         return len(self.non_slack) + len(self.pq)
+
+    @functools.cached_property
+    def state_layout(self) -> StateLayout:
+        """The flat start and the solver's gather indices, built on
+        first use and kept read-only."""
+        vm0 = np.ones(self.n)
+        fixed = np.concatenate(([self.slack], self.pv)).astype(int)
+        vm0[fixed] = self.vset[fixed]
+        va0 = np.full(self.n, self.va_ref[self.slack])
+        row_bus = np.concatenate([self.non_slack, self.pq])
+        row_part = np.repeat([0, 1], [len(self.non_slack), len(self.pq)])  # P, then Q
+        col = np.concatenate([self.non_slack, self.n + self.pq])
+        jacobian_index = 4 * self.n * row_bus[None, :] + 2 * col[:, None] + row_part[None, :]
+        residual_index = 2 * row_bus + row_part
+        for a in (vm0, va0, residual_index, jacobian_index):
+            a.flags.writeable = False
+        return StateLayout(vm0, va0, residual_index, jacobian_index)
+
+
+@dataclass(frozen=True)
+class StateLayout:
+    """Where the packed unknowns and the mismatch rows sit in bus arrays.
+
+    vm0, va0: the flat start, unit magnitude and the slack angle at every
+    bus with the regulated buses at their setpoints.
+    residual_index: P at non-slack buses, then Q at PQ buses, as indices
+    into the float view of an (n,) complex power vector.
+    jacobian_index: entry [c, r] is the Newton Jacobian's entry (r, c) as
+    an index into the float view of one (n, 2n) complex block holding
+    dS/dVa then dS/dVm: rows are P at non-slack then Q at PQ buses,
+    columns Va at non-slack then Vm at PQ buses.  It is stored column
+    by column so that a gather with it, transposed, is column-major.
+    """
+
+    vm0: np.ndarray
+    va0: np.ndarray
+    residual_index: np.ndarray
+    jacobian_index: np.ndarray
 
 
 _SECTION_COLUMNS = {"bus": 9, "gen": 3, "branch": 7}

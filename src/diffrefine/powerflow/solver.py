@@ -4,6 +4,13 @@ Conventions: per-unit throughout, angles in radians.  The mismatch is
 spec minus calculated, with active rows at every non-slack bus and
 reactive rows at PQ buses.  The unknown vector packs Va at non-slack
 buses followed by Vm at PQ buses, in bus order.
+
+One Kirchhoff kernel: packed states are expanded once per call into
+complex voltages v and currents I = v Yᵀ, and the residual and the
+Jacobian both read them, with the flat start and the gather indices
+built once per case (GridCase.state_layout).  Results are byte-equal
+to the per-quantity expansions this kernel replaced, memory layouts
+included, since numpy's reductions round by layout.
 """
 
 from __future__ import annotations
@@ -52,12 +59,9 @@ class PowerFlowState:
 
 def flat_start(case: GridCase) -> PowerFlowState:
     """Unit magnitude and zero angle at every unknown; regulated buses
-    sit at their setpoints."""
-    vm = np.ones(case.n)
-    fixed = np.concatenate(([case.slack], case.pv)).astype(int)
-    vm[fixed] = case.vset[fixed]
-    va = np.full(case.n, case.va_ref[case.slack])
-    return PowerFlowState(vm=vm, va=va)
+    sit at their setpoints.  Fresh arrays: Newton updates them in place."""
+    layout = case.state_layout
+    return PowerFlowState(vm=layout.vm0.copy(), va=layout.va0.copy())
 
 
 def pack_state(case: GridCase, state: PowerFlowState) -> np.ndarray:
@@ -77,9 +81,11 @@ def batch_states(case: GridCase, xs):
             f"need (m, {case.n_unknowns}) unknown vectors, got {xs.shape}"
         )
     m = xs.shape[0]
-    base = flat_start(case)
-    vm = np.tile(base.vm, (m, 1))
-    va = np.tile(base.va, (m, 1))
+    layout = case.state_layout
+    vm = np.empty((m, case.n))
+    vm[:] = layout.vm0
+    va = np.empty((m, case.n))
+    va[:] = layout.va0
     k = len(case.non_slack)
     va[:, case.non_slack] = xs[:, :k]
     vm[:, case.pq] = xs[:, k:]
@@ -92,11 +98,25 @@ def injection_features(case: GridCase, injections: Injections) -> np.ndarray:
     return np.concatenate([injections.p_spec[case.non_slack], injections.q_spec[case.pq]])
 
 
+def _voltages(ybus: YBus, vm, va):
+    """Complex bus voltages v and injected currents I = v Yᵀ, each (n,)
+    or (m, n): the one expansion that the power, the residual and the
+    Jacobian read."""
+    v = np.asarray(vm, dtype=float) * np.exp(1j * np.asarray(va, dtype=float))
+    return v, v @ ybus.complex_matrix.T
+
+
+def _power(v, i) -> np.ndarray:
+    # np.conj(i) stays a temporary: numpy writes a product into a large
+    # temporary operand's buffer, with the operands swapped, and a
+    # complex product rounds differently with its operands swapped.
+    # Every recorded output was computed with this expression.
+    return v * np.conj(i)
+
+
 def complex_power(ybus: YBus, vm, va) -> np.ndarray:
     """Injected complex power per bus; accepts (n,) or (m, n) arrays."""
-    v = np.asarray(vm, dtype=float) * np.exp(1j * np.asarray(va, dtype=float))
-    i = v @ ybus.complex_matrix.T
-    return v * np.conj(i)
+    return _power(*_voltages(ybus, vm, va))
 
 
 def mismatch(case: GridCase, ybus: YBus, state: PowerFlowState, injections: Injections | None = None):
@@ -104,7 +124,7 @@ def mismatch(case: GridCase, ybus: YBus, state: PowerFlowState, injections: Inje
     if injections is None:
         injections = nominal_injections(case)
     spec = injection_features(case, injections)
-    f = _state_residual(case, ybus, state.vm, state.va, spec)
+    f = _residual(case, *_voltages(ybus, state.vm, state.va), spec)
     k = len(case.non_slack)
     return f[:k], f[k:]
 
@@ -113,71 +133,86 @@ def mismatch_vector(case, ybus, x, injections=None) -> np.ndarray:
     return KirchhoffPotential(case, ybus, injections).residual(x)
 
 
+def _checked_spec(case: GridCase, spec, m: int) -> np.ndarray:
+    spec = np.asarray(spec, dtype=float)
+    if spec.shape != (case.n_unknowns,) and spec.shape != (m, case.n_unknowns):
+        raise DimensionMismatchError(
+            f"need spec ({case.n_unknowns},) or ({m}, {case.n_unknowns}), got {spec.shape}"
+        )
+    return spec
+
+
 def grid_residual(case: GridCase, ybus: YBus, xs, spec) -> np.ndarray:
     """Spec minus calculated power for packed states xs (m, n_unknowns),
     in the feature layout: ΔP at non-slack buses, then ΔQ at PQ buses.
 
     spec is one feature row for every state, or one row per state.
     """
-    return _state_residual(case, ybus, *batch_states(case, xs), spec)
+    vm, va = batch_states(case, xs)
+    spec = _checked_spec(case, spec, vm.shape[0])
+    return _residual(case, *_voltages(ybus, vm, va), spec)
 
 
-def _state_residual(case: GridCase, ybus: YBus, vm, va, spec) -> np.ndarray:
-    """grid_residual on bus voltages: (n,) for one state or (m, n)."""
-    s = complex_power(ybus, vm, va)
-    spec = np.asarray(spec, dtype=float)
-    k = len(case.non_slack)
-    return np.concatenate(
-        [spec[..., :k] - s.real[..., case.non_slack], spec[..., k:] - s.imag[..., case.pq]], axis=-1
-    )
+def _residual(case: GridCase, v, i, spec) -> np.ndarray:
+    """grid_residual from _voltages: (n,) for one state or (m, n).  The
+    P and Q rows are one gather on the float view of the power.  The
+    gather is column-major, and so is the residual unless spec has a row
+    per state: reductions over a row (the potential's sum of squares)
+    round by that layout."""
+    return spec - _power(v, i).view(float)[..., case.state_layout.residual_index]
 
 
 def grid_residual_grad(case: GridCase, ybus: YBus, xs, spec):
-    """(residual F, gradient of its squared norm -2 JᵀF) per state, from
-    one expansion of xs; J is the Newton Jacobian (d(residual)/dx = -J)."""
+    """(residual F, gradient of its squared norm -2 JᵀF) per state; J is
+    the Newton Jacobian (d(residual)/dx = -J).
+
+    One expansion: xs becomes v and I = v Yᵀ once, and the residual and
+    the Jacobian both read them.  einsum's summation order follows the
+    memory layout of its operands, so the Jacobian is passed in the
+    layout it has always had, column-major with the state axis fastest:
+    a row-major copy, or column-major per state, moves the gradient's
+    last bits.
+    """
     vm, va = batch_states(case, xs)
-    f = _state_residual(case, ybus, vm, va, spec)
-    jac = mismatch_jacobian_batch(case, ybus, vm, va)
-    return f, -2.0 * np.einsum("bij,bi->bj", jac, f)
+    spec = _checked_spec(case, spec, vm.shape[0])
+    v, i = _voltages(ybus, vm, va)
+    f = _residual(case, v, i, spec)
+    return f, -2.0 * np.einsum("bij,bi->bj", _jacobian(case, ybus, v, i), f)
 
 
-def _ds_dv(y_c: np.ndarray, v: np.ndarray):
-    """Complex-form partial derivatives of injected power.
+def _jacobian(case: GridCase, ybus: YBus, v: np.ndarray, i: np.ndarray) -> np.ndarray:
+    """d(calculated P, Q)/d(unknowns) from _voltages, each (m, n):
+    MATPOWER's dSbus_dV (Zimmerman, Murillo-Sánchez & Thomas, IEEE
+    Trans. Power Syst. 2011) in polar form.
 
-    v has shape (m, n); returns (dS/dVa, dS/dVm), each (m, n, n).
+    dS/dVa and dS/dVm are written side by side into one (m, n, 2n)
+    complex block, and the real (P) and imaginary (Q) rows at the
+    unknowns are one gather on its float view, which leaves the
+    (m, n_unknowns, n_unknowns) result column-major (see
+    grid_residual_grad).
     """
     m, n = v.shape
-    i_bus = v @ y_c.T
+    a = v[:, :, None] * np.conj(ybus.complex_matrix)
+    ds = np.empty((m, n, 2 * n), dtype=complex)
+    np.multiply(-1j, a * np.conj(v)[:, None, :], out=ds[:, :, :n])
     vn = v / np.abs(v)
-    d = np.arange(n)
-
-    ds_dva = -1j * (v[:, :, None] * np.conj(y_c)[None, :, :] * np.conj(v)[:, None, :])
-    ds_dva[:, d, d] += 1j * v * np.conj(i_bus)
-
-    ds_dvm = v[:, :, None] * np.conj(y_c)[None, :, :] * np.conj(vn)[:, None, :]
-    ds_dvm[:, d, d] += np.conj(i_bus) * vn
-    return ds_dva, ds_dvm
+    np.multiply(a, np.conj(vn)[:, None, :], out=ds[:, :, n:])
+    flat = ds.reshape(m, -1)
+    conj_i = np.conj(i)
+    flat[:, :: 2 * n + 1] += 1j * v * conj_i  # the diagonal of dS/dVa
+    flat[:, n :: 2 * n + 1] += conj_i * vn  # and of dS/dVm
+    jac = np.take(flat.view(float).T, case.state_layout.jacobian_index, axis=0)
+    return jac.transpose(2, 1, 0)
 
 
 def power_jacobian(case: GridCase, ybus: YBus, state: PowerFlowState) -> np.ndarray:
     """d(calculated P, Q)/d(unknowns), the standard polar NR Jacobian."""
-    return mismatch_jacobian_batch(
-        case, ybus, state.vm[None, :], state.va[None, :]
-    )[0]
+    return _jacobian(case, ybus, *_voltages(ybus, state.vm[None, :], state.va[None, :]))[0]
 
 
 def mismatch_jacobian_batch(case: GridCase, ybus: YBus, vm: np.ndarray, va: np.ndarray) -> np.ndarray:
     """d(mismatch)/d(unknowns) for a batch of full (vm, va) states."""
-    v = vm * np.exp(1j * va)
-    ds_dva, ds_dvm = _ds_dv(ybus.complex_matrix, v)
-    ns, pq = case.non_slack, case.pq
-    top = np.concatenate(
-        [ds_dva[:, ns][:, :, ns].real, ds_dvm[:, ns][:, :, pq].real], axis=2
-    )
-    bot = np.concatenate(
-        [ds_dva[:, pq][:, :, ns].imag, ds_dvm[:, pq][:, :, pq].imag], axis=2
-    )
-    return np.concatenate([top, bot], axis=1)
+    return _jacobian(case, ybus, *_voltages(ybus, vm, va))
 
 
 NEWTON_MAX_ITER = 50
@@ -210,7 +245,7 @@ def newton_raphson(
     spec = injection_features(case, injections)
     history = []
     for it in range(NEWTON_MAX_ITER + 1):
-        f = _state_residual(case, ybus, state.vm, state.va, spec)
+        f = _residual(case, *_voltages(ybus, state.vm, state.va), spec)
         worst = float(np.abs(f).max()) if f.size else 0.0
         history.append(worst)
         if not np.isfinite(worst):
@@ -243,7 +278,10 @@ class KirchhoffPotential(ConstraintPotential):
     """Sum of squared per-unit power mismatches over the unknown vector.
 
     Zero exactly on power-flow solutions.  The gradient reuses the NR
-    Jacobian: d(mismatch)/dx = -J, so grad = -2 J^T F.
+    Jacobian: d(mismatch)/dx = -J, so grad = -2 J^T F.  value_batch
+    computes the residual alone; value_and_grad_batch and grad_batch
+    make one grid_residual_grad call, which expands the states once and
+    shares v and I between the residual and the Jacobian.
     """
 
     def __init__(self, case: GridCase, ybus: YBus | None = None, injections: Injections | None = None):

@@ -478,6 +478,19 @@ class TestBitIdentity:
             [x, TimeEmbedding(8).batch(np.full(2, 5.0)), np.broadcast_to(c, (2, 2))], axis=1
         ).tobytes()
 
+    @pytest.mark.parametrize("t", [5, np.array([5, 6])])  # a scalar step, one step per row
+    def test_condition_width_is_checked_on_every_step_path(self, t):
+        spec = NetSpec(x_dim=3, hidden=(4,), out_dim=3, time_dim=8, cond_dim=2)
+        net = FeedForwardNet.init(spec, Rng(15))
+        x = Rng(16).normal((2, 3))
+        for bad in (np.zeros(3), np.zeros((2, 1))):
+            with pytest.raises(DimensionMismatchError,
+                               match=f"condition has width {bad.shape[-1]}, expected 2"):
+                net.forward(x, t=t, cond=bad)
+        one = Rng(17).normal(2)
+        assert net.forward(x, t=t, cond=one).tobytes() == net.forward(
+            x, t=t, cond=np.tile(one, (2, 1))).tobytes()
+
     # Recorded before the flat parameter buffer, the cached sigmoid and the
     # in-place Adam replaced per-layer arrays and per-step copies, with
     # numpy's bundled OpenBLAS on x86-64 (a BLAS built for other hardware

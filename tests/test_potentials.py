@@ -575,7 +575,7 @@ class TestRelationalKernel:
         monkeypatch.setattr(MullerBrownPotential, "grad", no_gradient)
         monkeypatch.setattr(MullerBrownPotential, "value_and_grad", no_gradient)
         # The Kirchhoff gradient is the Newton Jacobian contracted with F.
-        monkeypatch.setattr(solver, "mismatch_jacobian_batch", no_gradient)
+        monkeypatch.setattr(solver, "_jacobian", no_gradient)
 
         pts = sample_manifold_dataset(mb, WORKING_BOX, 200, kT=10.0, seed=3)
         assert mb.value_batch(pts).shape == (200,)

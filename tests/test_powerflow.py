@@ -6,6 +6,7 @@ import pytest
 from diffrefine.errors import (
     DataError,
     DatasetInfeasibleError,
+    DimensionMismatchError,
     NoConvergenceError,
     ParseError,
     ValidationError,
@@ -38,6 +39,7 @@ from diffrefine.powerflow import (
     save_dataset,
     unpack_state,
 )
+from diffrefine.powerflow import solver
 from diffrefine.powerflow.solver import (
     KirchhoffPotential,
     batch_states,
@@ -365,18 +367,81 @@ class TestGridResidual:
         assert np.array_equal(shared, grid_residual(ieee14, ybus, xs, np.tile(spec, (5, 1))))
 
 
+# The Kirchhoff kernel as it was before one expansion of the states
+# served the residual, the Jacobian and the gradient: a flat start built
+# per call, the residual as two subtractions, and dS/dV as two
+# (m, n, n) blocks cut by fancy indexing.  The library must give its
+# bytes, and its memory layouts too: numpy's reductions (the potential's
+# sum of squares, the gradient's einsum) round by layout.
+
+
+def reference_flat_start(case):
+    vm = np.ones(case.n)
+    fixed = np.concatenate(([case.slack], case.pv)).astype(int)
+    vm[fixed] = case.vset[fixed]
+    va = np.full(case.n, case.va_ref[case.slack])
+    return vm, va
+
+
+def reference_states(case, xs):
+    vm0, va0 = reference_flat_start(case)
+    vm = np.tile(vm0, (xs.shape[0], 1))
+    va = np.tile(va0, (xs.shape[0], 1))
+    k = len(case.non_slack)
+    va[:, case.non_slack] = xs[:, :k]
+    vm[:, case.pq] = xs[:, k:]
+    return vm, va
+
+
+def reference_residual(case, ybus, vm, va, spec):
+    v = vm * np.exp(1j * va)
+    i = v @ ybus.complex_matrix.T
+    s = v * np.conj(i)
+    k = len(case.non_slack)
+    return np.concatenate(
+        [spec[..., :k] - s.real[..., case.non_slack], spec[..., k:] - s.imag[..., case.pq]], axis=-1
+    )
+
+
+def reference_ds_dv(y_c, v):
+    m, n = v.shape
+    i_bus = v @ y_c.T
+    vn = v / np.abs(v)
+    d = np.arange(n)
+    ds_dva = -1j * (v[:, :, None] * np.conj(y_c)[None, :, :] * np.conj(v)[:, None, :])
+    ds_dva[:, d, d] += 1j * v * np.conj(i_bus)
+    ds_dvm = v[:, :, None] * np.conj(y_c)[None, :, :] * np.conj(vn)[:, None, :]
+    ds_dvm[:, d, d] += np.conj(i_bus) * vn
+    return ds_dva, ds_dvm
+
+
+def reference_jacobian(case, ybus, vm, va):
+    ds_dva, ds_dvm = reference_ds_dv(ybus.complex_matrix, vm * np.exp(1j * va))
+    ns, pq = case.non_slack, case.pq
+    top = np.concatenate([ds_dva[:, ns][:, :, ns].real, ds_dvm[:, ns][:, :, pq].real], axis=2)
+    bot = np.concatenate([ds_dva[:, pq][:, :, ns].imag, ds_dvm[:, pq][:, :, pq].imag], axis=2)
+    return np.concatenate([top, bot], axis=1)
+
+
 def reference_kirchhoff(case, ybus, xs, spec):
-    """(phi, grad, residual) from the residual and the Jacobian each
-    built from its own expansion of the states."""
-    f = grid_residual(case, ybus, xs, spec)
-    vm, va = batch_states(case, xs)
-    jac = mismatch_jacobian_batch(case, ybus, vm, va)
-    return np.sum(f * f, axis=1), -2.0 * np.einsum("bij,bi->bj", jac, f), f
+    """(phi, grad, residual, Jacobian), each from its own expansion."""
+    vm, va = reference_states(case, xs)
+    f = reference_residual(case, ybus, vm, va, spec)
+    jac = reference_jacobian(case, ybus, vm, va)
+    return np.sum(f * f, axis=1), -2.0 * np.einsum("bij,bi->bj", jac, f), f, jac
+
+
+def assert_same(got, want):
+    """Equal bytes and, past a size-1 axis, equal strides."""
+    assert got.shape == want.shape and got.tobytes() == want.tobytes()
+    assert all(g == w for g, w, d in zip(got.strides, want.strides, got.shape) if d > 1)
 
 
 class TestFusedKirchhoff:
-    """One expansion of the states gives the bits of the separate value,
-    gradient and residual evaluations, at every row count."""
+    """One expansion of the states gives the bits of the separate
+    evaluations of the reference kernel, at every row count, for a
+    shared spec and one spec row per state (as the physics penalty and
+    the metrics pass them)."""
 
     @pytest.mark.parametrize("name", ["ieee14", "ieee30"])
     @pytest.mark.parametrize("n", [1, 20, 1000])
@@ -387,22 +452,69 @@ class TestFusedKirchhoff:
         xs = pack_state(case, flat_start(case))[None, :] + 0.05 * rng.normal((n, case.n_unknowns))
         nominal = injection_features(case, nominal_injections(case))
         specs = nominal[None, :] + 0.05 * rng.normal((n, case.n_unknowns))
+        jac = mismatch_jacobian_batch(case, ybus, *batch_states(case, xs))
+        for spec in (specs[0], specs):
+            phi_ref, g_ref, f_ref, jac_ref = reference_kirchhoff(case, ybus, xs, spec)
+            assert_same(jac, jac_ref)
+            assert_same(grid_residual(case, ybus, xs, spec), f_ref)
+            f, g = grid_residual_grad(case, ybus, xs, spec)
+            assert_same(f, f_ref)
+            assert_same(g, g_ref)
 
-        # Shared spec: the potential's value, gradient and fused call.
         pot = KirchhoffPotential(case, ybus, injections_from_features(case, specs[0]))
-        phi_ref, g_ref, _ = reference_kirchhoff(case, ybus, xs, pot.spec)
+        phi_ref, g_ref, _, _ = reference_kirchhoff(case, ybus, xs, pot.spec)
         phi, g = pot.value_and_grad_batch(xs)
-        assert phi.tobytes() == phi_ref.tobytes() and g.tobytes() == g_ref.tobytes()
-        assert pot.value_batch(xs).tobytes() == phi_ref.tobytes()
-        assert pot.grad_batch(xs).tobytes() == g_ref.tobytes()
+        assert_same(phi, phi_ref)
+        assert_same(g, g_ref)
+        assert_same(pot.value_batch(xs), phi_ref)
+        assert_same(pot.grad_batch(xs), g_ref)
         for i in range(min(n, 5)):
             phi_i, g_i = pot.value_and_grad_batch(xs[i : i + 1])
             assert phi_i[0] == pot.value(xs[i]) and g_i[0].tobytes() == pot.grad(xs[i]).tobytes()
 
-        # One spec row per state, as the physics penalty passes them.
-        phi_ref, g_ref, f_ref = reference_kirchhoff(case, ybus, xs, specs)
-        f, g = grid_residual_grad(case, ybus, xs, specs)
-        assert f.tobytes() == f_ref.tobytes() and g.tobytes() == g_ref.tobytes()
+    @pytest.mark.parametrize("name", ["ieee14", "ieee30"])
+    def test_newton_jacobian_matches_reference_at_every_iterate(self, name, request, monkeypatch):
+        case = request.getfixturevalue(name)
+        ybus = build_ybus(case)
+        seen = []
+
+        def checked(case, ybus, state):
+            jac = power_jacobian(case, ybus, state)
+            want = reference_jacobian(case, ybus, state.vm[None, :], state.va[None, :])[0]
+            assert_same(jac, want)
+            seen.append(jac)
+            return jac
+
+        monkeypatch.setattr(solver, "power_jacobian", checked)
+        ds = generate_dataset(case, 0, 0, 3, seed=12)
+        for features in ds.test.features:
+            newton_raphson(case, ybus, injections_from_features(case, features))
+        assert len(seen) >= 3 * 3
+
+    def test_spec_must_be_one_row_or_one_row_per_state(self, ieee14):
+        ybus = build_ybus(ieee14)
+        m, k = 3, ieee14.n_unknowns
+        xs = pack_state(ieee14, flat_start(ieee14))[None, :] + 0.03 * Rng(10).normal((m, k))
+        for fn in (grid_residual, grid_residual_grad):
+            for shape in ((k,), (m, k)):
+                fn(ieee14, ybus, xs, np.zeros(shape))
+            # A width-1 spec would broadcast silently; the others would
+            # end in numpy's broadcasting error.
+            for shape in ((1,), (k + 1,), (m, 1), (m + 1, k), (1, k)):
+                with pytest.raises(DimensionMismatchError, match=rf"got \({shape[0]},"):
+                    fn(ieee14, ybus, xs, np.zeros(shape))
+
+    def test_flat_start_template_is_read_only(self, ieee14):
+        layout = ieee14.state_layout
+        vm0, va0 = reference_flat_start(ieee14)
+        for got, want in ((layout.vm0, vm0), (layout.va0, va0)):
+            assert not got.flags.writeable and got.tobytes() == want.tobytes()
+        start = flat_start(ieee14)
+        assert start.vm.flags.writeable and not np.shares_memory(start.vm, layout.vm0)
+        assert start.va.flags.writeable and not np.shares_memory(start.va, layout.va0)
+        newton_raphson(ieee14)  # updates its own flat start in place
+        assert layout.vm0.tobytes() == vm0.tobytes() and layout.va0.tobytes() == va0.tobytes()
+        assert flat_start(ieee14).vm.tobytes() == vm0.tobytes()
 
 
 class TestDataset:

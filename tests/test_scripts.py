@@ -73,6 +73,7 @@ def test_ab_pairs(tmp_path):
                "--workload", "pf30-scenarios", "--pairs", "1", "--seed", "3", "--seconds", "0.5")
     lines = out.splitlines()
     assert any(line.startswith(" pair 1 seed 3 first parent:") and "digest equal" in line
+               and re.search(r"attempted [1-9]\d*/[1-9]\d*  failed 0/0", line)
                for line in lines)
     for metric in ("setup_s", "peak_rss_mb", "rows_per_s", "pass_s"):
         assert any(line.strip().startswith(metric) and re.search(r"wins [01]/1", line)
@@ -105,7 +106,7 @@ def test_ab_pairs_exits_1_on_a_digest_mismatch(monkeypatch, capsys, tmp_path):
     ab_pairs = _load_ab_pairs()
     metrics = {"metrics": {name: {"value": 1.0}
                            for name in ("setup_s", "peak_rss_mb", "rows_per_s", "pass_s")},
-               "failed": 0}
+               "attempted": 4, "failed": 0}
 
     def run_once(tree, workload, seed, seconds):
         return dict(metrics, digest=tree.name)
@@ -118,6 +119,7 @@ def test_ab_pairs_exits_1_on_a_digest_mismatch(monkeypatch, capsys, tmp_path):
     assert ab_pairs.main(argv) == 1
     out, err = capsys.readouterr()
     assert "rows_per_s" in out  # the summary is printed first
+    assert out.count("attempted 4/4  failed 0/0") == 4  # every pair line of both calls
     assert err.splitlines() == [
         "FAIL pf30-scenarios pair seed 7: output digests differ",
         "FAIL pf30-scenarios pair seed 8: output digests differ",
