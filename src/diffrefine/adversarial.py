@@ -18,13 +18,13 @@ from __future__ import annotations
 
 import importlib.resources
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
 
 from .diffusion import train_noise_model
-from .errors import ConfigError, DataError, NumericError
+from .errors import ConfigError, DataError, NumericError, dataclass_from_config
 from .guidance import RefineConfig, refine
 from .model_store import (
     MANIFEST_VERSION,
@@ -321,24 +321,11 @@ class AttackConfig:
             raise ConfigError("need k >= 0, cycles >= 1, tau >= 0")
 
     def to_config(self) -> dict:
-        return {
-            "eps": self.eps,
-            "step": self.step,
-            "k": self.k,
-            "cycles": self.cycles,
-            "tau": self.tau,
-            "start_step": self.start_step,
-            "lam": self.lam,
-            "seed": self.seed,
-        }
+        return asdict(self)
 
     @classmethod
     def from_config(cls, cfg: dict) -> "AttackConfig":
-        known = {f for f in cls.__dataclass_fields__}
-        extra = set(cfg) - known
-        if extra:
-            raise ConfigError(f"unknown attack config keys: {sorted(extra)}")
-        return cls(**cfg)
+        return dataclass_from_config(cls, cfg, "attack")
 
 
 def _attack_frame(model: TrainedModel, x0, pot: RelationalConstraintSet | None):
@@ -364,7 +351,7 @@ def _ce_input_grad(model: TrainedModel, z: np.ndarray, y: np.ndarray) -> np.ndar
     out, cache = model.net.forward_batch(z, want_cache=True)
     d_out = (_sigmoid(out[:, 0]) - y.astype(float))[:, None]
     _, d_full = model.net.backward_batch(cache, d_out)
-    return model.net.input_gradient(d_full)
+    return d_full[:, : model.net.spec.x_dim]
 
 
 def _signed_gradient_steps(model, z, ball, y, cfg, lo, hi, steps, pot=None, mu=0.0):
@@ -419,15 +406,6 @@ class CycleLog:
     phi_after_pgd: list = field(default_factory=list)
     phi_after_refine: list = field(default_factory=list)
     projection_binding: list = field(default_factory=list)
-
-    def refinement_non_increase_fraction(self) -> float:
-        """Fraction of per-sample refinement blocks that did not raise phi."""
-        total = 0
-        ok = 0
-        for before, after in zip(self.phi_after_pgd, self.phi_after_refine):
-            total += before.size
-            ok += int(np.sum(after <= before + 1e-9))
-        return 1.0 if total == 0 else ok / total
 
 
 def cyclic_attack(
@@ -587,13 +565,3 @@ def write_attack_artifacts(out_dir, reports) -> None:
                     "breakdown": [float(v) for v in r.breakdown[j]],
                 }
                 fh.write(json.dumps(rec, sort_keys=True) + "\n")
-
-
-def read_attack_samples(path):
-    """Parse samples.jsonl back into {attack: list of row dicts}."""
-    grouped = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            rec = json.loads(line)
-            grouped.setdefault(rec["attack"], []).append(rec)
-    return grouped

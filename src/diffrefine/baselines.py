@@ -176,8 +176,6 @@ def newton_raphson_scalar(
         hessian = fd_hessian(pot.grad, x, 1e-4)
         try:
             direction = solve_linear(hessian, g)
-        except SingularHessianError:
-            raise
         except SingularMatrixError as err:
             raise SingularHessianError(str(err)) from err
         x = x - direction
@@ -305,11 +303,6 @@ class ComparisonRow:
     steps: int
     saddle: bool
     trajectory: DescentResult | Trajectory = field(repr=False)
-
-    @property
-    def trajectory_lines(self) -> list:
-        """The run's per-step lines, formatted only when read."""
-        return self.trajectory.to_lines()
 
 
 @dataclass
@@ -492,11 +485,11 @@ def train_power_prior(
 
 
 def _refine_power_chunk(case, ybus, prior, cfg, predictions, features) -> np.ndarray:
-    from .powerflow import injections_from_features, kirchhoff_potential
+    from .powerflow import KirchhoffPotential, injections_from_features
 
     out = np.empty_like(predictions)
     for i in range(predictions.shape[0]):
-        pot = kirchhoff_potential(case, ybus, injections_from_features(case, features[i]))
+        pot = KirchhoffPotential(case, ybus, injections_from_features(case, features[i]))
         out[i] = refine(predictions[i], pot, prior, cfg, condition=features[i]).x
     return out
 

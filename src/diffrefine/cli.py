@@ -365,11 +365,16 @@ def cmd_gen_data(args) -> int:
 # train
 # ---------------------------------------------------------------------------
 
+_TRAIN_LOSS = {"base": "mse", "pinn": "pinn", "classifier": "bce", "eps": "eps"}
+
+
 def cmd_train(args) -> int:
     if args.print_config:
         return _print_config(TRAIN_DEFAULTS[args.kind])
     if args.data is None:
         raise ConfigError("--data is required")
+    if args.out is None:
+        raise ConfigError("--out is required")
     from .training import TrainConfig
 
     data_kind = _dataset_kind(args.data)
@@ -386,6 +391,10 @@ def cmd_train(args) -> int:
     cfg = _load_config(args.config, defaults)
     seed = _pick_seed(cfg["seed"], args.seed, f"train-{args.kind}")
     hidden = tuple(int(h) for h in cfg["hidden"])
+    tc = TrainConfig(
+        epochs=cfg["epochs"], batch_size=cfg["batch_size"], lr=cfg["lr"],
+        seed=seed, loss=_TRAIN_LOSS[args.kind], pinn_weight=cfg.get("pinn_weight", 0.0),
+    )
 
     if args.kind in ("base", "pinn"):
         from .baselines import train_power_estimator, train_power_pinn
@@ -393,31 +402,18 @@ def cmd_train(args) -> int:
 
         ds = load_dataset(args.data)
         case = load_case(ds.case_name)
-        tc = TrainConfig(
-            epochs=cfg["epochs"], batch_size=cfg["batch_size"], lr=cfg["lr"],
-            seed=seed, loss="mse" if args.kind == "base" else "pinn",
-            pinn_weight=cfg.get("pinn_weight", 0.0),
-        )
         trainer = train_power_estimator if args.kind == "base" else train_power_pinn
         model = trainer(case, ds, cfg=tc, hidden=hidden)
     elif args.kind == "classifier":
         from .adversarial import load_tabular_dataset, train_tabular_classifier
 
         ds = load_tabular_dataset(args.data)
-        tc = TrainConfig(
-            epochs=cfg["epochs"], batch_size=cfg["batch_size"], lr=cfg["lr"],
-            seed=seed, loss="bce",
-        )
         model = train_tabular_classifier(ds, cfg=tc, hidden=hidden)
     else:
         from .diffusion import make_schedule
 
         sched = make_schedule(
             cfg["schedule"]["T"], cfg["schedule"]["beta_min"], cfg["schedule"]["beta_max"]
-        )
-        tc = TrainConfig(
-            epochs=cfg["epochs"], batch_size=cfg["batch_size"], lr=cfg["lr"],
-            seed=seed, loss="eps",
         )
         if data_kind == "powerflow-dataset":
             from .baselines import train_power_prior
@@ -436,8 +432,6 @@ def cmd_train(args) -> int:
                 ds, sched, cfg=tc, hidden=hidden, time_dim=cfg["time_dim"]
             )
 
-    if args.out is None:
-        raise ConfigError("--out is required")
     path = _model_path(args.out)
     path.parent.mkdir(parents=True, exist_ok=True)
     save_model(path, model)
@@ -464,10 +458,10 @@ def cmd_refine(args) -> int:
     from .baselines import refine_power_batch
     from .guidance import RefineConfig, refine
     from .powerflow import (
+        KirchhoffPotential,
         build_ybus,
         evaluate,
         injections_from_features,
-        kirchhoff_potential,
         load_case,
         load_dataset,
     )
@@ -514,7 +508,7 @@ def cmd_refine(args) -> int:
         traj_dir = out / "trajectories"
         traj_dir.mkdir(exist_ok=True)
         for i in range(min(args.dump, pred.shape[0])):
-            pot = kirchhoff_potential(case, ybus, injections_from_features(case, split.features[i]))
+            pot = KirchhoffPotential(case, ybus, injections_from_features(case, split.features[i]))
             res = refine(pred[i], pot, prior, cfg, condition=split.features[i])
             (traj_dir / f"sample_{i:03d}.tsv").write_text(
                 "\n".join(res.trajectory.to_lines()) + "\n"
@@ -546,6 +540,8 @@ def _injections_from_file(case, path):
         raise DataError(f"cannot read injections file {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise DataError(f"injections file {path} is not valid JSON: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise DataError(f"injections file {path} must hold a JSON object")
     ids = [bus.id for bus in case.buses]
     arrays = {"pd_mw": case.pd * case.base_mva, "qd_mvar": case.qd * case.base_mva,
               "pg_mw": case.pg * case.base_mva}
@@ -557,20 +553,28 @@ def _injections_from_file(case, path):
             arr = arrays[key].copy()
             for bus_id, mw in val.items():
                 try:
-                    arr[ids.index(int(bus_id))] = float(mw)
+                    pos = ids.index(int(bus_id))
                 except ValueError as exc:
                     raise DataError(f"unknown bus id {bus_id!r} in {key}") from exc
+                arr[pos] = _injection_value(key, mw)
             arrays[key] = arr
         else:
-            if len(val) != case.n:
+            if not isinstance(val, list) or len(val) != case.n:
                 raise DataError(f"{key} must list one value per bus ({case.n})")
-            arrays[key] = np.asarray(val, dtype=float)
+            arrays[key] = np.array([_injection_value(key, v) for v in val])
     return load_injections(
         case,
         arrays["pd_mw"] / case.base_mva,
         arrays["qd_mvar"] / case.base_mva,
         arrays["pg_mw"] / case.base_mva,
     )
+
+
+def _injection_value(key: str, value) -> float:
+    try:
+        return float(value)
+    except (TypeError, ValueError) as exc:
+        raise DataError(f"{key} values must be numbers, got {json.dumps(value)}") from exc
 
 
 def cmd_solve_pf(args) -> int:
@@ -683,6 +687,21 @@ def cmd_attack(args) -> int:
 # toy
 # ---------------------------------------------------------------------------
 
+def _start_groups(path, doc) -> dict:
+    """The start groups of a --starts document, itself or its "starts"
+    entry: each name maps to a list of [x, y] points."""
+    groups = doc.get("starts", doc) if isinstance(doc, dict) else doc
+    if not isinstance(groups, dict):
+        raise DataError(f"starts file {path} must map group names to lists of [x, y] points")
+    for name, points in groups.items():
+        if not isinstance(points, list) or not all(
+            isinstance(p, list) and len(p) == 2 and all(type(v) in (int, float) for v in p)
+            for p in points
+        ):
+            raise DataError(f"start group {name!r} in {path} must be a list of [x, y] points")
+    return groups
+
+
 def cmd_toy(args) -> int:
     from .baselines import build_toy_setup, load_toy_demo, trajectory_comparison
 
@@ -694,7 +713,7 @@ def cmd_toy(args) -> int:
             raise DataError(f"cannot read starts file {args.starts}: {exc}") from exc
         except json.JSONDecodeError as exc:
             raise DataError(f"starts file {args.starts} is not valid JSON: {exc}") from exc
-        demo["starts"] = doc.get("starts", doc)
+        demo["starts"] = _start_groups(args.starts, doc)
     out = _prepare_out(args)
     pot, model, refine_cfg, starts = build_toy_setup(demo)
     groups, flat = [], []
@@ -713,7 +732,7 @@ def cmd_toy(args) -> int:
     traj_dir.mkdir(exist_ok=True)
     for i, row in enumerate(table.rows):
         (traj_dir / f"row_{i:03d}_{row.method}.tsv").write_text(
-            "\n".join(row.trajectory_lines) + "\n"
+            "\n".join(row.trajectory.to_lines()) + "\n"
         )
     _write_run_manifest(
         out, "toy", demo, {"master": args.seed, "derived": {}},

@@ -38,7 +38,6 @@ class NoiseSchedule:
     """
 
     betas: np.ndarray
-    alphas: np.ndarray
     alpha_bars: np.ndarray
     sqrt_alpha_bars: tuple = field(init=False, repr=False, compare=False)
     sqrt_one_minus_alpha_bars: tuple = field(init=False, repr=False, compare=False)
@@ -57,9 +56,8 @@ class NoiseSchedule:
             raise ConfigError("betas must be a non-empty one-dimensional array")
         if (betas <= 0.0).any() or (betas >= 1.0).any():
             raise ConfigError("every beta must lie strictly inside (0, 1)")
-        alphas = 1.0 - betas
-        alpha_bars = np.concatenate([[1.0], np.cumprod(alphas)])
-        return cls(betas=betas, alphas=alphas, alpha_bars=alpha_bars)
+        alpha_bars = np.concatenate([[1.0], np.cumprod(1.0 - betas)])
+        return cls(betas=betas, alpha_bars=alpha_bars)
 
     @property
     def T(self) -> int:
@@ -258,26 +256,3 @@ def model_schedule(model: TrainedModel) -> NoiseSchedule:
     if model.schedule_cache is None or model.schedule_cache[0] is not betas:
         model.schedule_cache = (betas, NoiseSchedule.from_betas(np.asarray(betas, dtype=float)))
     return model.schedule_cache[1]
-
-
-def generate(
-    model: TrainedModel,
-    n: int,
-    rng: Rng,
-    conditions: np.ndarray | None = None,
-) -> np.ndarray:
-    """Sample by running the full reverse chain from standard noise.
-
-    Used by sanity tests; refinement starts from a prediction instead
-    and lives in the guidance module.
-    """
-    schedule = model_schedule(model)
-    dim = model.net.spec.x_dim
-    z = rng.normal((n, dim))
-    c = None
-    if conditions is not None:
-        c = model.x_norm.encode(np.asarray(conditions, dtype=float))
-    for t in range(schedule.T, 0, -1):
-        eps_hat = model.net.forward(z, t=np.full(n, t), cond=c)
-        z = ddim_step(z, t, eps_hat, schedule)
-    return model.y_norm.decode(z)

@@ -13,6 +13,15 @@ class ConfigError(DiffRefineError):
     """Invalid configuration value or file."""
 
 
+def dataclass_from_config(cls, cfg: dict, what: str):
+    """cls(**cfg) for a config dataclass; ConfigError names the keys
+    of cfg that are not fields of cls."""
+    extra = set(cfg) - set(cls.__dataclass_fields__)
+    if extra:
+        raise ConfigError(f"unknown {what} config keys: {sorted(extra)}")
+    return cls(**cfg)
+
+
 class DataError(DiffRefineError):
     """Missing, malformed, or infeasible input data."""
 

@@ -23,12 +23,12 @@ from __future__ import annotations
 
 import math
 import statistics
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
 from .diffusion import NoiseSchedule, ddim_transition, model_schedule
-from .errors import ConfigError, NonFiniteGradientError
+from .errors import ConfigError, NonFiniteGradientError, dataclass_from_config
 from .model_store import TrainedModel
 from .numerics import as_vector, require_finite
 from .potentials import ConstraintPotential, NormalizedPotential
@@ -61,15 +61,11 @@ class RefineConfig:
             raise ConfigError("lam must be non-negative")
 
     def to_config(self) -> dict:
-        return {"steps": self.steps, "start_step": self.start_step, "lam": self.lam}
+        return asdict(self)
 
     @classmethod
     def from_config(cls, cfg: dict) -> "RefineConfig":
-        known = {f for f in cls.__dataclass_fields__}
-        extra = set(cfg) - known
-        if extra:
-            raise ConfigError(f"unknown refine config keys: {sorted(extra)}")
-        return cls(**cfg)
+        return dataclass_from_config(cls, cfg, "refine")
 
 
 @dataclass
@@ -129,30 +125,14 @@ def descent_direction(pot: ConstraintPotential, x):
     return g / -norm, norm, phi  # the bits of -g / norm, one array operation fewer
 
 
-def compute_gamma(
-    r,
-    delta,
-    phi: float,
-    grad_norm: float,
-    lam: float = 0.0,
-    clip: float | None = None,
-):
-    """Closed-form correction length; returns (gamma, clipped).
+def _gamma_and_dot(r, delta, phi, grad_norm, lam, clip):
+    """Closed-form correction length (gamma, clipped), and <r, delta>,
+    for vectors r and delta of one shape.
 
     Minimizes the proximal objective described in the module
     docstring.  The denominator 1 + lam * ||grad||^2 is at least one,
     so the expression is always well defined.
     """
-    r = as_vector(r, "r")
-    delta = as_vector(delta, "delta")
-    if r.shape != delta.shape:
-        raise ConfigError("r and delta must have matching shapes")
-    return _gamma_and_dot(r, delta, phi, grad_norm, lam, clip)[:2]
-
-
-def _gamma_and_dot(r, delta, phi, grad_norm, lam, clip):
-    """``compute_gamma``'s (gamma, clipped), and <r, delta>, for vectors
-    of one shape."""
     r_delta = float(r.dot(delta))
     gamma = (r_delta + lam * phi * grad_norm) / (1.0 + lam * grad_norm * grad_norm)
     clipped = False

@@ -13,7 +13,7 @@ vectors are concatenated the same way.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -30,11 +30,6 @@ def _sigmoid(z):
     1, and NaN stays NaN.
     """
     return np.exp(np.minimum(z, 0.0)) / (1.0 + np.exp(-np.abs(z)))
-
-
-def silu(z):
-    """Sigmoid-weighted linear unit, z * sigmoid(z)."""
-    return z * _sigmoid(z)
 
 
 _ACTIVATIONS = ("silu",)
@@ -108,16 +103,7 @@ class NetSpec:
         return [(i, m + 1 - i) for i in range(1, m // 2 + 1) if i < m + 1 - i]
 
     def to_config(self) -> dict:
-        return {
-            "x_dim": self.x_dim,
-            "hidden": list(self.hidden),
-            "out_dim": self.out_dim,
-            "time_dim": self.time_dim,
-            "cond_dim": self.cond_dim,
-            "skips": self.skips,
-            "activation": self.activation,
-            "final_zero": self.final_zero,
-        }
+        return {**asdict(self), "hidden": list(self.hidden)}
 
     @classmethod
     def from_config(cls, cfg: dict) -> "NetSpec":
@@ -326,13 +312,6 @@ class FeedForwardNet:
             if src is not None:
                 d_a[src] = d_z if d_a[src] is None else d_a[src] + d_z
         return grads, d_a[0]
-
-    def input_gradient(self, d_input_full: np.ndarray) -> np.ndarray:
-        """Restrict an assembled-input gradient to the x columns."""
-        return d_input_full[:, : self.spec.x_dim]
-
-    def clone(self) -> "FeedForwardNet":
-        return FeedForwardNet(self.spec, self.params.copy())
 
     def __reduce__(self):
         # Pickle rebuilds the layer views into the unpickled buffer and

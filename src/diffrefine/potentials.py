@@ -12,8 +12,8 @@ from __future__ import annotations
 
 import json
 import warnings
-from dataclasses import dataclass
-from typing import Callable, Sequence
+from dataclasses import asdict, dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -75,37 +75,6 @@ class ConstraintPotential:
 
     def grad_batch(self, xs) -> np.ndarray:
         return self.value_and_grad_batch(xs)[1]
-
-
-class ZeroPotential(ConstraintPotential):
-    """Identically zero; useful as a guidance no-op."""
-
-    def __init__(self, dim: int):
-        self.dim = dim
-
-    def value_batch(self, xs) -> np.ndarray:
-        return np.zeros(len(xs))
-
-    def value_and_grad_batch(self, xs):
-        xs = np.asarray(xs, dtype=float)
-        return np.zeros(xs.shape[0]), np.zeros_like(xs)
-
-
-class CallablePotential(ConstraintPotential):
-    """Adapter wrapping plain value/grad callables, called once per row."""
-
-    def __init__(self, dim: int, value_fn: Callable, grad_fn: Callable):
-        self.dim = dim
-        self._value = value_fn
-        self._grad = grad_fn
-
-    def value_batch(self, xs) -> np.ndarray:
-        return np.array([float(self._value(row)) for row in np.asarray(xs, dtype=float)])
-
-    def value_and_grad_batch(self, xs):
-        xs = np.asarray(xs, dtype=float)
-        g = [np.asarray(self._grad(row), dtype=float) for row in xs]
-        return self.value_batch(xs), np.stack(g) if g else np.zeros_like(xs)
 
 
 class NormalizedPotential(ConstraintPotential):
@@ -173,7 +142,7 @@ WORKING_BOX = np.array([[-1.8, 1.2], [-0.5, 2.2]])
 
 def _exp_point(arg: float) -> float:
     if abs(arg) > EXP_CLAMP:
-        # Attributed to the caller of surface_value, surface_grad or value_and_grad.
+        # Attributed to the caller of surface_value or value_and_grad.
         warnings.warn("surface exponent clamped", RuntimeWarning, stacklevel=4)
         arg = EXP_CLAMP if arg > 0.0 else -EXP_CLAMP
     return float(np.exp(arg))
@@ -223,25 +192,9 @@ class MullerBrown:
         point = as_vector(point, "point")
         return self.evaluate(float(point[0]), float(point[1]))[0]
 
-    def surface_grad(self, point) -> np.ndarray:
-        point = as_vector(point, "point")
-        _, gx, gy = self.evaluate(float(point[0]), float(point[1]))
-        return _finite_grad(np.array([gx, gy]), point)
-
     def surface_value_batch(self, points) -> np.ndarray:
         pts = np.asarray(points, dtype=float)
         return self.evaluate(pts[..., 0], pts[..., 1], _exp_batch, grad=False)[0]
-
-    def surface_grad_batch(self, points) -> np.ndarray:
-        pts = np.asarray(points, dtype=float)
-        _, gx, gy = self.evaluate(pts[..., 0], pts[..., 1], _exp_batch)
-        return np.stack([gx, gy], axis=-1)
-
-
-def _finite_grad(g: np.ndarray, point) -> np.ndarray:
-    if not np.all(np.isfinite(g)):
-        raise NonFiniteGradientError(f"surface gradient non-finite at {point}")
-    return g
 
 
 @dataclass(frozen=True)
@@ -275,11 +228,7 @@ def locate_stationary_points() -> tuple:
 
 
 def global_minimum() -> StationaryPoint:
-    points = locate_stationary_points()
-    minima = [s for s in points if s.kind == "minimum"]
-    if not minima:
-        raise ValidationError("no minimum located on the surface")
-    return minima[0]
+    return _STATIONARY_POINTS[0]
 
 
 class MullerBrownPotential(ConstraintPotential):
@@ -302,7 +251,10 @@ class MullerBrownPotential(ConstraintPotential):
 
     def grad(self, x) -> np.ndarray:
         x = as_vector(x, "point")
-        return _finite_grad(np.array(self.value_and_grad(x)[1]), x)
+        g = np.array(self.value_and_grad(x)[1])
+        if not np.all(np.isfinite(g)):
+            raise NonFiniteGradientError(f"surface gradient non-finite at {x}")
+        return g
 
     def value_and_grad(self, x):
         """(value, gradient as a list of floats) from one surface evaluation.
@@ -421,33 +373,28 @@ class RelationalConstraintSet(ConstraintPotential):
         self._index = {name: i for i, name in enumerate(self.feature_names)}
         if len(self._index) != self.dim:
             raise ValidationError("feature names must be unique")
-        for term in self.terms:
-            for name in self._term_features(term):
-                if name not in self._index:
-                    raise ValidationError(f"constraint references unknown feature {name!r}")
         self._resolved = tuple(self._resolve(term) for term in self.terms)
 
     def _resolve(self, term) -> tuple:
-        """(kind, columns, constants) of a term, its feature names
-        resolved to column indices once."""
-        cols = tuple(self._index[name] for name in self._term_features(term))
+        """(kind, columns, constants) of a term, its feature names resolved
+        to column indices once; ValidationError on an unknown kind or name."""
         if isinstance(term, LinearSumTerm):
-            return "linear_sum", tuple(zip(cols, term.weights)), term.offset
-        if isinstance(term, RangeTerm):
-            return "range", cols, (term.lower, term.upper)
-        return ("product" if isinstance(term, ProductTerm) else "order"), cols, None
-
-    @staticmethod
-    def _term_features(term):
-        if isinstance(term, LinearSumTerm):
-            return term.features
-        if isinstance(term, ProductTerm):
-            return (term.result, term.left, term.right)
-        if isinstance(term, OrderTerm):
-            return (term.smaller, term.larger)
-        if isinstance(term, RangeTerm):
-            return (term.feature,)
-        raise ValidationError(f"unknown constraint term {term!r}")
+            kind, names, const = "linear_sum", term.features, term.offset
+        elif isinstance(term, ProductTerm):
+            kind, names, const = "product", (term.result, term.left, term.right), None
+        elif isinstance(term, OrderTerm):
+            kind, names, const = "order", (term.smaller, term.larger), None
+        elif isinstance(term, RangeTerm):
+            kind, names, const = "range", (term.feature,), (term.lower, term.upper)
+        else:
+            raise ValidationError(f"unknown constraint term {term!r}")
+        for name in names:
+            if name not in self._index:
+                raise ValidationError(f"constraint references unknown feature {name!r}")
+        cols = tuple(self._index[name] for name in names)
+        if kind == "linear_sum":
+            cols = tuple(zip(cols, term.weights))
+        return kind, cols, const
 
     def idx(self, name: str) -> int:
         return self._index[name]
@@ -545,27 +492,7 @@ class RelationalConstraintSet(ConstraintPotential):
             {"name": n, "lower": float(self.bounds[i, 0]), "upper": float(self.bounds[i, 1])}
             for i, n in enumerate(self.feature_names)
         ]
-        terms = []
-        for term in self.terms:
-            if isinstance(term, LinearSumTerm):
-                terms.append(
-                    {
-                        "kind": "linear_sum",
-                        "features": list(term.features),
-                        "weights": list(term.weights),
-                        "offset": term.offset,
-                    }
-                )
-            elif isinstance(term, ProductTerm):
-                terms.append(
-                    {"kind": "product", "result": term.result, "left": term.left, "right": term.right}
-                )
-            elif isinstance(term, OrderTerm):
-                terms.append({"kind": "order", "smaller": term.smaller, "larger": term.larger})
-            elif isinstance(term, RangeTerm):
-                terms.append(
-                    {"kind": "range", "feature": term.feature, "lower": term.lower, "upper": term.upper}
-                )
+        terms = [{"kind": kind, **asdict(term)} for term, (kind, _, _) in zip(self.terms, self._resolved)]
         return {"features": feats, "constraints": terms}
 
     @classmethod

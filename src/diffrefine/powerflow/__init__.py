@@ -16,15 +16,11 @@ from .solver import (
     KirchhoffPotential,
     NewtonResult,
     PowerFlowState,
-    complex_power,
     flat_start,
     grid_residual,
     grid_residual_grad,
-    kirchhoff_potential,
     load_injections,
     mismatch,
-    mismatch_jacobian_batch,
-    mismatch_vector,
     newton_raphson,
     nominal_injections,
     pack_state,
@@ -48,20 +44,16 @@ __all__ = [
     "Split",
     "YBus",
     "build_ybus",
-    "complex_power",
     "evaluate",
     "flat_start",
     "generate_dataset",
     "grid_residual",
     "grid_residual_grad",
     "injections_from_features",
-    "kirchhoff_potential",
     "load_case",
     "load_dataset",
     "load_injections",
     "mismatch",
-    "mismatch_jacobian_batch",
-    "mismatch_vector",
     "newton_raphson",
     "nominal_injections",
     "pack_state",

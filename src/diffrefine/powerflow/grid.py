@@ -77,7 +77,6 @@ class GridCase:
 
     n: int = field(init=False)
     index_of: dict = field(init=False)
-    kinds: list = field(init=False)
     slack: int = field(init=False)
     pv: np.ndarray = field(init=False)
     pq: np.ndarray = field(init=False)
@@ -94,7 +93,6 @@ class GridCase:
     def __post_init__(self):
         self.n = len(self.buses)
         self.index_of = {b.id: i for i, b in enumerate(self.buses)}
-        self.kinds = [b.kind for b in self.buses]
         slacks = [i for i, b in enumerate(self.buses) if b.kind == SLACK]
         self.slack = slacks[0] if slacks else -1
         self.pv = np.array([i for i, b in enumerate(self.buses) if b.kind == PV], dtype=int)

@@ -114,11 +114,6 @@ def _power(v, i) -> np.ndarray:
     return v * np.conj(i)
 
 
-def complex_power(ybus: YBus, vm, va) -> np.ndarray:
-    """Injected complex power per bus; accepts (n,) or (m, n) arrays."""
-    return _power(*_voltages(ybus, vm, va))
-
-
 def mismatch(case: GridCase, ybus: YBus, state: PowerFlowState, injections: Injections | None = None):
     """(ΔP at non-slack buses, ΔQ at PQ buses), spec minus calculated."""
     if injections is None:
@@ -127,10 +122,6 @@ def mismatch(case: GridCase, ybus: YBus, state: PowerFlowState, injections: Inje
     f = _residual(case, *_voltages(ybus, state.vm, state.va), spec)
     k = len(case.non_slack)
     return f[:k], f[k:]
-
-
-def mismatch_vector(case, ybus, x, injections=None) -> np.ndarray:
-    return KirchhoffPotential(case, ybus, injections).residual(x)
 
 
 def _checked_spec(case: GridCase, spec, m: int) -> np.ndarray:
@@ -208,11 +199,6 @@ def _jacobian(case: GridCase, ybus: YBus, v: np.ndarray, i: np.ndarray) -> np.nd
 def power_jacobian(case: GridCase, ybus: YBus, state: PowerFlowState) -> np.ndarray:
     """d(calculated P, Q)/d(unknowns), the standard polar NR Jacobian."""
     return _jacobian(case, ybus, *_voltages(ybus, state.vm[None, :], state.va[None, :]))[0]
-
-
-def mismatch_jacobian_batch(case: GridCase, ybus: YBus, vm: np.ndarray, va: np.ndarray) -> np.ndarray:
-    """d(mismatch)/d(unknowns) for a batch of full (vm, va) states."""
-    return _jacobian(case, ybus, *_voltages(ybus, vm, va))
 
 
 NEWTON_MAX_ITER = 50
@@ -301,13 +287,3 @@ class KirchhoffPotential(ConstraintPotential):
     def value_and_grad_batch(self, xs):
         f, g = grid_residual_grad(self.case, self.ybus, xs, self.spec)
         return np.sum(f * f, axis=1), g
-
-    def residual(self, x) -> np.ndarray:
-        """Spec minus calculated power at x, in the feature layout."""
-        return grid_residual(self.case, self.ybus, np.asarray(x, dtype=float)[None], self.spec)[0]
-
-
-def kirchhoff_potential(
-    case: GridCase, ybus: YBus | None = None, injections: Injections | None = None
-) -> KirchhoffPotential:
-    return KirchhoffPotential(case, ybus, injections)

@@ -26,10 +26,6 @@ class YBus:
         y.flags.writeable = False
         return y
 
-    @property
-    def n(self) -> int:
-        return self.g.shape[0]
-
 
 def build_ybus(case: GridCase) -> YBus:
     """Assemble the network admittance matrix.

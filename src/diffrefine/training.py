@@ -12,11 +12,11 @@ training is deterministic given the config seed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .errors import ConfigError, DimensionMismatchError, NonFiniteLossError
+from .errors import ConfigError, DimensionMismatchError, NonFiniteLossError, dataclass_from_config
 from .network import FeedForwardNet, _sigmoid
 from .numerics import Rng
 
@@ -44,25 +44,11 @@ class TrainConfig:
             raise ConfigError("pinn_weight must be non-negative")
 
     def to_config(self) -> dict:
-        return {
-            "epochs": self.epochs,
-            "batch_size": self.batch_size,
-            "lr": self.lr,
-            "beta1": self.beta1,
-            "beta2": self.beta2,
-            "adam_eps": self.adam_eps,
-            "seed": self.seed,
-            "loss": self.loss,
-            "pinn_weight": self.pinn_weight,
-        }
+        return asdict(self)
 
     @classmethod
     def from_config(cls, cfg: dict) -> "TrainConfig":
-        known = {f for f in cls.__dataclass_fields__}
-        extra = set(cfg) - known
-        if extra:
-            raise ConfigError(f"unknown train config keys: {sorted(extra)}")
-        return cls(**cfg)
+        return dataclass_from_config(cls, cfg, "train")
 
 
 @dataclass(frozen=True)
@@ -139,10 +125,14 @@ def loss_and_output_grad(kind, y_pred, y_true, pinn_penalty=None, pinn_weight=0.
         raise DimensionMismatchError(
             f"targets shape {y_true.shape} does not match outputs {y_pred.shape}"
         )
-    if kind in ("mse", "eps"):
+    if kind in ("mse", "eps", "pinn"):
         diff = y_pred - y_true
         loss = float(np.mean(diff * diff))
         d_out = 2.0 * diff / diff.size
+        if kind == "pinn" and pinn_penalty is not None and pinn_weight > 0.0:
+            phi, phi_grad_norm = pinn_penalty(y_pred, row_ids)
+            loss += pinn_weight * float(np.mean(phi * phi))
+            d_out = d_out + pinn_weight * (2.0 * phi[:, None] * phi_grad_norm) / n
         return loss, d_out
     if kind == "bce":
         if y_pred.shape[1] != 1:
@@ -152,15 +142,6 @@ def loss_and_output_grad(kind, y_pred, y_true, pinn_penalty=None, pinn_weight=0.
         # log(1 + exp(-|z|)) keeps the loss finite for large logits
         loss = float(np.mean(np.maximum(z, 0.0) - z * y + np.log1p(np.exp(-np.abs(z)))))
         d_out = ((_sigmoid(z) - y) / n)[:, None]
-        return loss, d_out
-    if kind == "pinn":
-        diff = y_pred - y_true
-        loss = float(np.mean(diff * diff))
-        d_out = 2.0 * diff / diff.size
-        if pinn_penalty is not None and pinn_weight > 0.0:
-            phi, phi_grad_norm = pinn_penalty(y_pred, row_ids)
-            loss += pinn_weight * float(np.mean(phi * phi))
-            d_out = d_out + pinn_weight * (2.0 * phi[:, None] * phi_grad_norm) / n
         return loss, d_out
     raise ConfigError(f"unknown loss {kind!r}")
 

@@ -220,7 +220,7 @@ class TestTrajectoryComparison:
         assert lines[0].startswith("start_x\tstart_y\tmethod")
         assert len(lines) == 1 + len(table.rows)
         for row in table.rows:
-            assert row.trajectory_lines[0].split("\t") == [
+            assert row.trajectory.to_lines()[0].split("\t") == [
                 "t", "phi", "gamma", "cos_angle", "dist",
             ]
 

@@ -37,19 +37,22 @@ from diffrefine.adversarial import (
 )
 from diffrefine.baselines import refine_power_batch, train_power_pinn, train_power_prior
 from diffrefine.cli import main
-from diffrefine.diffusion import generate, make_schedule, train_noise_model
+from diffrefine.diffusion import make_schedule, train_noise_model
 from diffrefine.guidance import RefineConfig, refine
 from diffrefine.numerics import Rng
 from diffrefine.powerflow import (
+    KirchhoffPotential,
     build_ybus,
     generate_dataset,
+    grid_residual,
     injections_from_features,
-    kirchhoff_potential,
     load_case,
     peak_mismatches,
 )
 from diffrefine.potentials import WORKING_BOX, muller_brown_potential
 from diffrefine.training import TrainConfig
+
+from support import generate
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 sys.path.insert(0, str(PERFBENCH))
@@ -143,8 +146,9 @@ def test_peak_mismatches(grid):
 
 def test_kirchhoff_value_and_gradient(grid):
     case, ybus, ds, predictions = grid
-    pot = kirchhoff_potential(case, ybus, injections_from_features(case, ds.test.features[0]))
-    got = [pot.value_batch(predictions), pot.grad_batch(predictions), pot.residual(predictions[1])]
+    pot = KirchhoffPotential(case, ybus, injections_from_features(case, ds.test.features[0]))
+    residual = grid_residual(case, ybus, predictions[1][None], pot.spec)[0]
+    got = [pot.value_batch(predictions), pot.grad_batch(predictions), residual]
     got += [pot.grad(predictions[2]), np.array([pot.value(predictions[3])])]
     assert _sha256(*got) == KIRCHHOFF_SHA
 

@@ -269,6 +269,23 @@ class TestTrain:
     def test_missing_data_dir(self, tmp_path):
         assert run_cli("train", "base", "--data", tmp_path / "nope", "--out", tmp_path / "m") == 3
 
+    @pytest.mark.parametrize("kind", ["base", "pinn", "eps"])
+    def test_missing_out_fails_before_loading_or_training(self, pf_data, monkeypatch, kind):
+        def never(*args, **kwargs):
+            raise AssertionError("train ran without --out")
+
+        import diffrefine.baselines
+        import diffrefine.powerflow
+
+        for module, name in [
+            (diffrefine.powerflow, "load_dataset"),
+            (diffrefine.baselines, "train_power_estimator"),
+            (diffrefine.baselines, "train_power_pinn"),
+            (diffrefine.baselines, "train_power_prior"),
+        ]:
+            monkeypatch.setattr(module, name, never)
+        _assert_one_error(*_quiet_cli("train", kind, "--data", pf_data), 2, "ConfigError")
+
 
 def _one_error_line(capsys, cls: str) -> None:
     lines = capsys.readouterr().err.strip().split("\n")
@@ -816,6 +833,21 @@ class TestSolvePf:
         inj = write_json(tmp_path / "inj.json", {"pd": [0.0] * 14})
         assert run_cli("solve-pf", "--case", "ieee14", "--injections", inj) == 3
 
+    @pytest.mark.parametrize("doc", [
+        {"pd_mw": 5},
+        {"pd_mw": {"2": None}},
+        {"qd_mvar": {"2": [1.0]}},
+        {"pd_mw": ["a"] * 14},
+        {"pg_mw": [None] * 14},
+        {"pd_mw": "a" * 14},
+        [{"a": 1}],
+        5,
+    ])
+    def test_malformed_injection_values(self, tmp_path, doc):
+        inj = write_json(tmp_path / "inj.json", doc)
+        code, lines = _quiet_cli("solve-pf", "--case", "ieee14", "--injections", inj)
+        _assert_one_error(code, lines, 3, "DataError")
+
     def test_unknown_case_is_data_error(self, capsys):
         assert run_cli("solve-pf", "--case", "ieee99") == 3
         assert capsys.readouterr().err.startswith("error\t")
@@ -907,6 +939,27 @@ class TestToy:
         bad = tmp_path / "starts.json"
         bad.write_text("{not json")
         assert run_cli("toy", "--starts", bad, "--out", tmp_path / "toy") == 3
+
+    @pytest.mark.parametrize("doc", [
+        [[0.3, 0.25]],
+        {"starts": [[0.3, 0.25]]},
+        {"g": [[0.3, "x"]]},
+        {"g": [[0.3]]},
+        {"g": [[0.3, 0.25, 1.0]]},
+        {"g": [0.3, 0.25]},
+        {"g": [[0.3, None]]},
+        {"starts": {"g": 5}},
+    ])
+    def test_malformed_starts_fail_before_training(self, tmp_path, monkeypatch, doc):
+        def never(*args, **kwargs):
+            raise AssertionError("the toy prior trained on malformed starts")
+
+        import diffrefine.diffusion
+
+        monkeypatch.setattr(diffrefine.diffusion, "train_noise_model", never)
+        starts = write_json(tmp_path / "starts.json", doc)
+        code, lines = _quiet_cli("toy", "--starts", starts, "--out", tmp_path / "toy")
+        _assert_one_error(code, lines, 3, "DataError")
 
 
 class TestBenchRemoved:

@@ -10,7 +10,6 @@ from diffrefine.diffusion import (
     estimate_x0,
     ddim_step,
     forward_noise,
-    generate,
     make_schedule,
     model_schedule,
     train_noise_model,
@@ -18,6 +17,8 @@ from diffrefine.diffusion import (
 from diffrefine.errors import ConfigError, DegenerateAlphaError, NonFiniteLossError
 from diffrefine.numerics import Rng
 from diffrefine.training import TrainConfig
+
+from support import generate
 
 
 class TestSchedule:
@@ -35,7 +36,7 @@ class TestSchedule:
         s = make_schedule(50, 1e-4, 0.02)
         for t in range(1, 51):
             assert s.alpha_bars[t] == pytest.approx(
-                s.alpha_bars[t - 1] * s.alphas[t - 1], rel=1e-15
+                s.alpha_bars[t - 1] * (1.0 - s.betas[t - 1]), rel=1e-15
             )
 
     def test_linear_endpoints(self):

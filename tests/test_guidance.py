@@ -13,15 +13,27 @@ from diffrefine.diffusion import NoiseSchedule, ddim_step, make_schedule
 from diffrefine.errors import ConfigError, NonFiniteError, NonFiniteGradientError
 from diffrefine.guidance import (
     RefineConfig,
-    compute_gamma,
+    _gamma_and_dot,
     descent_direction,
     guided_step,
     refine,
     step_subsequence,
 )
-from diffrefine.network import TimeEmbedding
-from diffrefine.numerics import Rng
-from diffrefine.potentials import CallablePotential, ZeroPotential, muller_brown_potential
+from diffrefine.network import FeedForwardNet, TimeEmbedding
+from diffrefine.numerics import Rng, as_vector
+from diffrefine.potentials import muller_brown_potential
+
+from support import CallablePotential, ZeroPotential
+
+
+def compute_gamma(r, delta, phi, grad_norm, lam=0.0, clip=None):
+    """The guided step's closed-form correction length (gamma, clipped),
+    for vectors of one shape."""
+    r = as_vector(r, "r")
+    delta = as_vector(delta, "delta")
+    if r.shape != delta.shape:
+        raise ConfigError("r and delta must have matching shapes")
+    return _gamma_and_dot(r, delta, phi, grad_norm, lam, clip)[:2]
 
 
 def golden_section_gamma(r, delta, phi, grad_norm, lam, lo, hi, tol=1e-10):
@@ -288,7 +300,8 @@ def test_dot_norm_is_the_linalg_norm(values):
 
 class TestRefine:
     def test_refines_sharing_a_model_embed_each_level_once(self, toy_noise_model, monkeypatch):
-        model = dataclasses.replace(toy_noise_model, net=toy_noise_model.net.clone())
+        net = FeedForwardNet(toy_noise_model.net.spec, toy_noise_model.net.params.copy())
+        model = dataclasses.replace(toy_noise_model, net=net)
         embedded = []
         batch = TimeEmbedding.batch
 

@@ -14,10 +14,9 @@ from diffrefine.numerics import Rng, fd_hessian, finite_diff_jacobian, solve_lin
 from diffrefine import potentials
 from diffrefine.adversarial import load_schema, sample_feasible
 from diffrefine.powerflow import load_case, solver
-from diffrefine.powerflow.solver import flat_start, kirchhoff_potential, pack_state
+from diffrefine.powerflow.solver import KirchhoffPotential, flat_start, pack_state
 from diffrefine.potentials import (
     WORKING_BOX,
-    CallablePotential,
     ConstraintPotential,
     LinearSumTerm,
     MullerBrown,
@@ -28,13 +27,14 @@ from diffrefine.potentials import (
     RangeTerm,
     RelationalConstraintSet,
     StationaryPoint,
-    ZeroPotential,
     finite_difference_conformance,
     global_minimum,
     locate_stationary_points,
     muller_brown_potential,
     sample_manifold_dataset,
 )
+
+from support import CallablePotential, ZeroPotential
 
 # Published landmark table for the canonical surface parameters;
 # locations to about three decimals, energies to the same source.
@@ -69,9 +69,14 @@ class TestStationaryOracle:
         assert gm.kind == "minimum"
 
     def test_gradient_small_at_stationary_points(self):
-        mb = MullerBrown()
+        grad = surface_grad(MullerBrown())
         for p in locate_stationary_points():
-            assert np.abs(mb.surface_grad(p.point)).max() < 1e-8
+            assert np.abs(grad(p.point)).max() < 1e-8
+
+
+def surface_grad(mb: MullerBrown):
+    """The surface gradient at one point, on Python floats."""
+    return lambda p: np.array(mb.evaluate(float(p[0]), float(p[1]))[1:])
 
 
 # The grid-seeded Newton search that found the stationary points which
@@ -86,12 +91,13 @@ def _polish(mb: MullerBrown, seed_point: np.ndarray, box: np.ndarray):
     p = seed_point.astype(float).copy()
     lo = box[:, 0] - 0.5
     hi = box[:, 1] + 0.5
+    grad = surface_grad(mb)
     for _ in range(80):
-        g = mb.surface_grad(p)
+        g = grad(p)
         if float(np.abs(g).max()) < 1e-11:
             return p
         try:
-            step = solve_linear(fd_hessian(mb.surface_grad, p, 1e-5), g)
+            step = solve_linear(fd_hessian(grad, p, 1e-5), g)
         except SingularMatrixError:
             return None
         norm = float(np.abs(step).max())
@@ -117,7 +123,7 @@ def _search_stationary_points() -> tuple:
     gx, gy = np.meshgrid(xs, ys, indexing="ij")
     pts = np.stack([gx.ravel(), gy.ravel()], axis=1)
     vals = mb.surface_value_batch(pts)
-    grads = mb.surface_grad_batch(pts)
+    grads = np.stack(mb.evaluate(pts[:, 0], pts[:, 1], potentials._exp_batch)[1:], axis=-1)
     gnorm = np.abs(grads).max(axis=1)
 
     def grid_local_minima(field_flat):
@@ -147,7 +153,7 @@ def _search_stationary_points() -> tuple:
             continue
         if any(np.linalg.norm(p - s.point) < 1e-4 for s in found):
             continue
-        eig = np.linalg.eigvalsh(fd_hessian(mb.surface_grad, p, 1e-5))
+        eig = np.linalg.eigvalsh(fd_hessian(surface_grad(mb), p, 1e-5))
         if np.all(eig > 0):
             kind = "minimum"
         elif np.all(eig < 0):
@@ -547,7 +553,7 @@ class TestRelationalKernel:
         mb = muller_brown_potential(margin=2.0)
         schema = load_schema()
         case = load_case("ieee14")
-        grid = kirchhoff_potential(case)
+        grid = KirchhoffPotential(case)
         states = pack_state(case, flat_start(case)) + 0.05 * Rng(6).normal((20, case.n_unknowns))
 
         # A gradient request anywhere in these calls raises.
@@ -633,7 +639,7 @@ def _normalized_cases():
     zs[:5] = 0.01 * zs[:5] + (global_minimum().point - [-0.3, 0.8]) / [0.6, 0.5]  # in the pocket
     schema = load_schema()
     case = load_case("ieee14")
-    grid = kirchhoff_potential(case)
+    grid = KirchhoffPotential(case)
     bounds = schema.bounds
     return [
         (mb, np.array([-0.3, 0.8]), np.array([0.6, 0.5]), zs),
@@ -726,11 +732,12 @@ class TestTwoKernels:
 
 
 def _surface_hessian_before(mb, point, h=1e-5):
+    grad = surface_grad(mb)
     cols = []
     for i in range(2):
         e = np.zeros(2)
         e[i] = h
-        cols.append((mb.surface_grad(point + e) - mb.surface_grad(point - e)) / (2.0 * h))
+        cols.append((grad(point + e) - grad(point - e)) / (2.0 * h))
     hess = np.stack(cols, axis=1)
     return 0.5 * (hess + hess.T)
 
@@ -747,5 +754,5 @@ def test_fd_hessian_matches_both_replaced_copies():
     points = lo + (hi - lo) * Rng(37).random((40, 2))
     points = np.concatenate([points, [s.point for s in locate_stationary_points()]])
     for p in points:
-        _same_bytes(fd_hessian(mb.surface_grad, p, 1e-5), _surface_hessian_before(mb, p))
+        _same_bytes(fd_hessian(surface_grad(mb), p, 1e-5), _surface_hessian_before(mb, p))
         _same_bytes(fd_hessian(pot.grad, p, 1e-4), _potential_hessian_before(pot, p))

@@ -28,7 +28,7 @@ from diffrefine.network import FeedForwardNet
 from diffrefine.errors import ConfigError, DimensionMismatchError
 from diffrefine.numerics import Rng, as_vector, require_finite
 from diffrefine.potentials import RelationalConstraintSet, muller_brown_potential
-from diffrefine.powerflow import build_ybus, injections_from_features, kirchhoff_potential
+from diffrefine.powerflow import KirchhoffPotential, build_ybus, injections_from_features
 
 
 def _where_sigmoid(z):
@@ -159,7 +159,7 @@ class TestRefineMatchesReference:
         ybus = build_ybus(case)
         preds = base.predict(ds.test.features[:3])
         for pred, feat in zip(preds, ds.test.features[:3]):
-            pot = kirchhoff_potential(case, ybus, injections_from_features(case, feat))
+            pot = KirchhoffPotential(case, ybus, injections_from_features(case, feat))
             assert_refine_matches_reference(
                 pred, pot, prior, POWER_REFINE, reference_patch, condition=feat
             )
@@ -174,7 +174,7 @@ def _ref_signed_steps(model, z, z0, y, cfg, lo, hi, steps):
     for _ in range(steps):
         out, cache = model.net.forward_batch(z, want_cache=True)
         d_out = (_where_sigmoid(out[:, 0]) - y.astype(float))[:, None]
-        g = model.net.input_gradient(model.net.backward_batch(cache, d_out)[1])
+        g = model.net.backward_batch(cache, d_out)[1][:, : model.net.spec.x_dim]
         z = _ref_project(z + cfg.step * np.sign(g), z0, cfg.eps, lo, hi)
     return z
 
