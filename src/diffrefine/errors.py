@@ -72,7 +72,13 @@ class DimensionMismatchError(NumericError):
 
 
 class SingularMatrixError(NumericError):
-    """Linear solve hit a pivot below the singularity threshold."""
+    """Linear solve hit a pivot below the singularity threshold.  A
+    stacked solve lists the indices of the failing systems in
+    ``systems``."""
+
+    def __init__(self, message: str, systems=()):
+        self.systems = list(systems)
+        super().__init__(message)
 
 
 class SingularHessianError(SingularMatrixError):

@@ -65,7 +65,14 @@ def solve_linear(a, b) -> np.ndarray:
     that keeps ``b`` apart.  Back-substitution dots contiguous slices,
     as that loop's ``@`` does, since a strided dot may sum in another
     order.
+
+    A stack, ``a`` of shape (m, n, n) and ``b`` of shape (m, n), is
+    solved by one elimination over all m systems, and each system gets
+    the bytes of its own 2-D solve (``_solve_stack``).  A 2-D call keeps
+    the loop below, which solves one system about twice as fast.
     """
+    if np.ndim(a) == 3:
+        return _solve_stack(a, b)
     a = as_matrix(a, "a")
     b = as_vector(b, "b")
     n, m = a.shape
@@ -104,6 +111,61 @@ def solve_linear(a, b) -> np.ndarray:
         # the bare product instead, so a -0.0 product needs the 0.0 +.
         dot = 0.0 + float(u[k, k + 1 : n].dot(x[k + 1 :]))
         x[k] = (float(x[k]) - dot) / diag[k]
+    require_finite(x, "solution")
+    return x
+
+
+def _solve_stack(a, b) -> np.ndarray:
+    """solve_linear on a stack of m systems: the 2-D loop with every step
+    taken for all systems at once.  Pivot search, row swap, rank-1
+    update and division are elementwise, and each back-substitution dot
+    is a (1, L) @ (L, 1) matmul, which numpy hands to the BLAS dot that
+    the 2-D loop calls and adds to +0.0, as the 2-D loop does by hand;
+    so every system gets the bytes of its 2-D solve.  A singular column
+    raises SingularMatrixError there, with the indices of the systems
+    whose pivot fell short in ``systems``."""
+    a = np.asarray(a, dtype=float)
+    b = np.asarray(b, dtype=float)
+    m, n = a.shape[:2]
+    if a.shape != (m, n, n) or b.shape != (m, n):
+        raise DimensionMismatchError(
+            f"a stack needs a (m, n, n) and b (m, n), got {a.shape} and {b.shape}"
+        )
+    require_finite(a, "a")
+    require_finite(b, "b")
+    if m == 0 or n == 0:
+        return np.zeros((m, n))
+
+    u = np.empty((m, n, n + 1))
+    u[:, :, :n] = a
+    u[:, :, n] = b
+    norm_a = np.abs(u[:, :, :n]).sum(axis=2).max(axis=1)
+    threshold = PIVOT_RTOL * np.maximum(norm_a, np.finfo(float).tiny)
+    systems = np.arange(m)
+    for k in range(n):
+        column = np.abs(u[:, k:, k])
+        p = column.argmax(axis=1)
+        pivot = column[systems, p]
+        short = pivot < threshold
+        if short.any():
+            short = np.flatnonzero(short)
+            s = short[0]
+            raise SingularMatrixError(
+                f"pivot {pivot[s]:.3e} below threshold {threshold[s]:.3e} in column {k}"
+                f" of system {s}",
+                systems=short.tolist(),
+            )
+        rows = p + k  # row k itself where no swap is needed
+        row_k = u[systems, k]
+        u[systems, k] = u[systems, rows]
+        u[systems, rows] = row_k
+        mult = u[:, k + 1 :, k] / u[:, k, k, None]
+        u[:, k + 1 :, k + 1 :] -= mult[:, :, None] * u[:, k, None, k + 1 :]
+    x = u[:, :, n].copy()
+    diag = u.diagonal(axis1=1, axis2=2)
+    for k in range(n - 1, -1, -1):
+        dot = np.matmul(u[:, k, None, k + 1 : n], x[:, k + 1 :, None])[:, 0, 0]
+        x[:, k] = (x[:, k] - dot) / diag[:, k]
     require_finite(x, "solution")
     return x
 

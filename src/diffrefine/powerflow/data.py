@@ -8,7 +8,10 @@ load ratio, solves the scenario exactly, and stores
     targets:  Va at non-slack buses, then Vm at PQ buses
 
 all per-unit, in bus order.  Scenarios that fail to converge are
-discarded and redrawn; a failure share above one half aborts.
+discarded and redrawn; a failure share above one half aborts.  Draws
+are solved in blocks of up to BLOCK_DRAWS by one block Newton call
+and scanned in draw order, so a split holds the rows, and fails at the
+draw, that drawing and solving one scenario at a time would give.
 """
 
 from __future__ import annotations
@@ -29,7 +32,7 @@ from ..model_store import (
 )
 from ..numerics import Rng
 from .grid import BUNDLED_CASES, GridCase, case_text
-from .solver import Injections, injection_features, newton_raphson, pack_state
+from .solver import Injections, newton_block, pack_state
 from .ybus import build_ybus
 
 # The manifest keys load_dataset reads, with the JSON types they must have.
@@ -87,9 +90,24 @@ def injections_from_features(case: GridCase, row) -> Injections:
     return Injections(p_spec=p, q_spec=q)
 
 
+# Draws per newton_block call: keeps the Jacobian stack a few MiB and,
+# on the bundled cases, _power below numpy's 256 KiB elision size.
+BLOCK_DRAWS = 64
+
+
 def _draw_split(case, ybus, n: int, spread: float, rng: Rng, tol: float) -> Split:
-    d_in = case.n_unknowns
-    feats = np.empty((n, d_in))
+    """n accepted scenarios, drawn, solved and scanned in blocks.
+
+    Each block draws the uniforms of up to n - got scenarios at once
+    (the stream of drawing them one by one), solves them with one
+    newton_block call, and scans the outcomes in draw order, so the
+    accepted rows and the draw at which the cap or the failure-share
+    check fires are those of drawing and solving one scenario at a time.
+    A NonFiniteError from a block aborts the split, as it did from its
+    draw, even where an earlier failure in the block would have ended
+    the split first.
+    """
+    feats = np.empty((n, case.n_unknowns))
     targs = np.empty((n, case.n_unknowns))
     total_pd = float(case.pd.sum())
     got = 0
@@ -97,30 +115,29 @@ def _draw_split(case, ybus, n: int, spread: float, rng: Rng, tol: float) -> Spli
     draws = 0
     cap = max(4 * n, 50)
     while got < n:
-        if draws >= cap:
+        b = min(n - got, cap - draws, BLOCK_DRAWS)
+        if b == 0:
             raise DatasetInfeasibleError(
                 f"{failures} of {draws} scenario draws failed to converge"
             )
-        draws += 1
-        fp = 1.0 + spread * rng.uniform(-1.0, 1.0, size=case.n)
-        fq = 1.0 + spread * rng.uniform(-1.0, 1.0, size=case.n)
-        pd = case.pd * fp
-        qd = case.qd * fq
-        ratio = float(pd.sum()) / total_pd if total_pd > 0 else 1.0
-        pg = case.pg * ratio
-        inj = Injections(p_spec=pg - pd, q_spec=-qd)
-        try:
-            res = newton_raphson(case, ybus, inj, tol=tol)
-        except NoConvergenceError:
-            failures += 1
-            if failures > draws / 2 and draws >= 20:
-                raise DatasetInfeasibleError(
-                    f"{failures} of {draws} scenario draws failed to converge"
-                ) from None
-            continue
-        feats[got] = injection_features(case, inj)
-        targs[got] = pack_state(case, res.state)
-        got += 1
+        u = rng.uniform(-1.0, 1.0, size=(b, 2, case.n))
+        pd = case.pd * (1.0 + spread * u[:, 0])
+        qd = case.qd * (1.0 + spread * u[:, 1])
+        ratio = pd.sum(axis=1) / total_pd if total_pd > 0 else np.ones(b)
+        p_spec = case.pg * ratio[:, None] - pd
+        specs = np.concatenate([p_spec[:, case.non_slack], -qd[:, case.pq]], axis=1)
+        for spec, outcome in zip(specs, newton_block(case, ybus, specs, tol)):
+            draws += 1
+            if isinstance(outcome, NoConvergenceError):
+                failures += 1
+                if failures > draws / 2 and draws >= 20:
+                    raise DatasetInfeasibleError(
+                        f"{failures} of {draws} scenario draws failed to converge"
+                    )
+                continue
+            feats[got] = spec
+            targs[got] = pack_state(case, outcome.state)
+            got += 1
     return Split(features=feats, targets=targs)
 
 

@@ -11,10 +11,15 @@ Jacobian both read them, with the flat start and the gather indices
 built once per case (GridCase.state_layout).  Results are byte-equal
 to the per-quantity expansions this kernel replaced, memory layouts
 included, since numpy's reductions round by layout.
+
+One Newton loop: newton_block iterates a block of scenarios together,
+with one stacked linear solve per iteration, and gives each scenario
+the bytes of solving it alone; newton_raphson is a block of one.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -217,7 +222,8 @@ def newton_raphson(
     injections: Injections | None = None,
     tol: float = 1e-8,
 ) -> NewtonResult:
-    """Full Newton iteration on the mismatch equations from a flat start.
+    """Full Newton iteration on the mismatch equations from a flat start:
+    newton_block on one spec row.
 
     Raises NoConvergenceError when NEWTON_MAX_ITER updates leave the
     worst mismatch above tol, or the Jacobian goes singular (voltage
@@ -227,37 +233,97 @@ def newton_raphson(
         ybus = build_ybus(case)
     if injections is None:
         injections = nominal_injections(case)
-    state = flat_start(case)
-    spec = injection_features(case, injections)
-    history = []
+    (outcome,) = newton_block(case, ybus, injection_features(case, injections)[None], tol)
+    if isinstance(outcome, NoConvergenceError):
+        raise outcome
+    return outcome
+
+
+def newton_block(case: GridCase, ybus: YBus, specs, tol: float = 1e-8) -> list:
+    """Newton-Raphson from a flat start for every spec row of specs
+    (m, n_unknowns) at once.  Returns one outcome per row, in order: a
+    NewtonResult, or the NoConvergenceError that newton_raphson raises
+    for that row alone (non-finite mismatch, singular Jacobian, or the
+    iteration cap, each with its iterations and residual).
+
+    One loop serves the whole block: each iteration evaluates the rows
+    still active as one stack and drops those that converged or failed.
+    A row's bytes are those of the one-row iteration: its currents are
+    a stack of one-row products, whose rows equal ``v @ Y.T`` of one
+    row (a many-row GEMM does not), the Jacobian's entries are
+    elementwise per row, and solve_linear gives each system of a stack
+    the bytes of its own solve.  A row whose Jacobian is singular fails
+    and the rest are solved again.  Once one row is left, it takes
+    power_jacobian and the 2-D solve, which are faster for one system.
+    A non-finite Jacobian or step raises NonFiniteError for the block.
+    """
+    specs = np.asarray(specs, dtype=float)
+    m = specs.shape[0]
+    x = np.empty((m, case.n_unknowns))
+    x[:] = pack_state(case, flat_start(case))
+    history = np.empty((NEWTON_MAX_ITER + 1, m))
+    outcomes = [None] * m
+    active = np.arange(m)
+    y_t = ybus.complex_matrix.T
     for it in range(NEWTON_MAX_ITER + 1):
-        f = _residual(case, *_voltages(ybus, state.vm, state.va), spec)
-        worst = float(np.abs(f).max()) if f.size else 0.0
-        history.append(worst)
-        if not np.isfinite(worst):
-            raise NoConvergenceError(
-                "mismatch diverged to non-finite values",
-                iterations=it, residual=worst,
-            )
-        if worst < tol:
-            return NewtonResult(state=state, iterations=it, residuals=np.array(history))
-        if it == NEWTON_MAX_ITER:
+        vm, va = batch_states(case, x[active])
+        v = vm * np.exp(1j * va)
+        i = (v[:, None, :] @ y_t)[:, 0, :]
+        f = _residual(case, v, i, specs[active])
+        worst = np.abs(f).max(axis=1, initial=0.0)
+        history[it, active] = worst
+        going = np.ones(active.size, dtype=bool)
+        for j, (r, w) in enumerate(zip(active.tolist(), worst.tolist())):
+            if not math.isfinite(w):
+                outcomes[r] = NoConvergenceError(
+                    "mismatch diverged to non-finite values", iterations=it, residual=w,
+                )
+            elif w < tol:
+                outcomes[r] = NewtonResult(
+                    state=unpack_state(case, x[r]), iterations=it,
+                    residuals=history[: it + 1, r].copy(),
+                )
+            elif it == NEWTON_MAX_ITER:
+                outcomes[r] = NoConvergenceError(
+                    f"no convergence after {NEWTON_MAX_ITER} iterations",
+                    iterations=NEWTON_MAX_ITER, residual=w,
+                )
+            else:
+                continue
+            going[j] = False
+        if not going.any():
             break
-        jac = power_jacobian(case, ybus, state)
-        try:
-            step = solve_linear(jac, f)
-        except SingularMatrixError:
-            raise NoConvergenceError(
+        if not going.all():
+            active, vm, va, v, i, f = (a[going] for a in (active, vm, va, v, i, f))
+        step, singular = _newton_steps(case, ybus, vm, va, v, i, f)
+        for r in active[singular].tolist():
+            outcomes[r] = NoConvergenceError(
                 "singular Jacobian during Newton iteration",
-                iterations=it, residual=worst,
-            ) from None
-        k = len(case.non_slack)
-        state.va[case.non_slack] += step[:k]
-        state.vm[case.pq] += step[k:]
-    raise NoConvergenceError(
-        f"no convergence after {NEWTON_MAX_ITER} iterations",
-        iterations=NEWTON_MAX_ITER, residual=history[-1],
-    )
+                iterations=it, residual=float(history[it, r]),
+            )
+        active = active[~singular]
+        x[active] += step
+    return outcomes
+
+
+def _newton_steps(case: GridCase, ybus: YBus, vm, va, v, i, f):
+    """The Newton steps of the active rows whose Jacobian is regular,
+    and the mask of the rows whose Jacobian is singular."""
+    singular = np.zeros(f.shape[0], dtype=bool)
+    if f.shape[0] == 1:
+        jac = power_jacobian(case, ybus, PowerFlowState(vm=vm[0], va=va[0]))
+        try:
+            return solve_linear(jac, f[0])[None], singular
+        except SingularMatrixError:
+            return np.empty((0, f.shape[1])), ~singular
+    jac = _jacobian(case, ybus, v, i)
+    keep = slice(None)  # no copy while every system is regular
+    while True:
+        try:
+            return solve_linear(jac[keep], f[keep]), singular
+        except SingularMatrixError as err:
+            singular[np.flatnonzero(~singular)[err.systems]] = True
+            keep = ~singular
 
 
 class KirchhoffPotential(ConstraintPotential):

@@ -233,7 +233,7 @@ class TestTrajectoryComparison:
 
 class TestPowerEstimators:
     def test_base_improves_on_flat_start(self, acpf_task):
-        from diffrefine.powerflow import build_ybus, evaluate, flat_start, pack_state
+        from diffrefine.powerflow import evaluate, flat_start, pack_state
 
         case, ds, base, _, _ = acpf_task
         flat = np.tile(pack_state(case, flat_start(case)), (ds.test.features.shape[0], 1))

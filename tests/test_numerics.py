@@ -236,6 +236,115 @@ class TestSolveLinearMatchesReference:
             assert msg is not None and msg.endswith(f"in column {col}")
 
 
+def assert_stack_matches_2d(a, b):
+    """Each system of a stacked solve gets the bytes of its 2-D solve."""
+    x = solve_linear(a, b)
+    assert x.shape == np.shape(b)
+    for j in range(len(a)):
+        assert x[j].tobytes() == solve_linear(a[j], b[j]).tobytes()
+
+
+def block_stacks(monkeypatch, name, m):
+    """The (a, b) stacks, as passed, of a newton_block call on max(m, 2)
+    scenario draws (a block of one would take the 2-D solve)."""
+    case = load_case(name)
+    rng = Rng(23)
+    specs = []
+    for _ in range(max(m, 2)):
+        pd = case.pd * (1.0 + 0.2 * rng.uniform(-1.0, 1.0, size=case.n))
+        qd = case.qd * (1.0 + 0.2 * rng.uniform(-1.0, 1.0, size=case.n))
+        pg = case.pg * float(pd.sum()) / float(case.pd.sum())
+        specs.append(solver.injection_features(case, load_injections(case, pd, qd, pg)))
+    calls = []
+
+    def spy(a, b):
+        calls.append((a, b))
+        return solve_linear(a, b)
+
+    monkeypatch.setattr(solver, "solve_linear", spy)
+    solver.newton_block(case, solver.build_ybus(case), np.array(specs))
+    monkeypatch.undo()
+    return [(a[:m], b[:m]) for a, b in calls]
+
+
+class TestSolveStack:
+    """solve_linear on (m, n, n) and (m, n) stacks against its 2-D path."""
+
+    @pytest.mark.parametrize("name", ["ieee14", "ieee30"])
+    @pytest.mark.parametrize("m", [1, 5, 64])
+    def test_newton_jacobian_stacks(self, monkeypatch, name, m):
+        stacks = block_stacks(monkeypatch, name, m)
+        assert len(stacks) >= 3
+        for a, b in stacks:
+            assert a.ndim == 3 and len(a) == m
+            assert_stack_matches_2d(a, b)
+
+    def test_systems_with_row_swaps(self):
+        rng = Rng(2025)
+        for n in (4, 9, 30, 53):
+            a = rng.normal((6, n, n)) * np.arange(1.0, n + 1.0)[:, None]
+            b = rng.normal((6, n)) * 1e3
+            swapped = []
+            for j in range(6):
+                swaps = []
+                reference_solve_linear(a[j], b[j], swaps)
+                assert swaps
+                swapped.append(set(swaps))
+            # some column swaps rows in one system and not in another
+            assert set.union(*swapped) != set.intersection(*swapped)
+            assert_stack_matches_2d(a, b)
+
+    def test_zeros_and_negative_zeros(self):
+        rng = Rng(8)
+        for n in (1, 2, 3, 5, 8):
+            a = rng.normal((12, n, n))
+            a[rng.uniform(size=a.shape) < 0.4] = 0.0
+            a[rng.uniform(size=a.shape) < 0.2] = -0.0
+            a[:, np.arange(n), np.arange(n)] += np.where(rng.uniform(size=(12, n)) < 0.5, 3.0, -3.0)
+            b = rng.normal((12, n))
+            b[rng.uniform(size=b.shape) < 0.4] = 0.0
+            b[rng.uniform(size=b.shape) < 0.3] = -0.0
+            assert_stack_matches_2d(a, b)
+        # the one-entry dot of the first row sums from +0.0, as in 2-D
+        x = solve_linear(np.array([[[-2.0, 0.0], [0.0, 3.0]]] * 3), -np.zeros((3, 2)))
+        assert np.signbit(x).tolist() == [[False, True]] * 3
+
+    def test_singular_systems_are_named_at_their_column(self):
+        rng = Rng(41)
+        n = 5
+        a = rng.normal((6, n, n)) + n * np.eye(n)
+        b = rng.normal((6, n))
+        for j in (1, 4):
+            a[j, :, 2] = a[j, :, 1]  # singular in column 2
+        a[3, :, 4] = a[3, :, 3]  # singular in column 4
+        with pytest.raises(SingularMatrixError) as first:
+            solve_linear(a, b)
+        assert first.value.systems == [1, 4]
+        want = assert_same_solve(a[1], b[1])
+        assert str(first.value) == f"{want} of system 1"
+        assert assert_same_solve(a[4], b[4]).endswith("in column 2")
+        rest = [0, 2, 3, 5]
+        with pytest.raises(SingularMatrixError) as second:
+            solve_linear(a[rest], b[rest])
+        assert second.value.systems == [2]
+        assert str(second.value) == f"{assert_same_solve(a[3], b[3])} of system 2"
+        assert_stack_matches_2d(a[[0, 2, 5]], b[[0, 2, 5]])
+
+    def test_shapes_non_finite_and_empty_stacks(self):
+        a = np.stack([np.eye(3)] * 2)
+        for bad_a, bad_b in ((a, np.ones((2, 4))), (a, np.ones(3)), (np.ones((2, 3, 4)), np.ones((2, 3)))):
+            with pytest.raises(DimensionMismatchError):
+                solve_linear(bad_a, bad_b)
+        nan = a.copy()
+        nan[1, 2, 0] = np.nan
+        with pytest.raises(NonFiniteError):
+            solve_linear(nan, np.ones((2, 3)))
+        with pytest.raises(NonFiniteError):
+            solve_linear(a, np.array([[1.0, 2.0, 3.0], [np.inf, 0.0, 0.0]]))
+        assert solve_linear(np.zeros((0, 3, 3)), np.zeros((0, 3))).shape == (0, 3)
+        assert solve_linear(np.zeros((2, 0, 0)), np.zeros((2, 0))).shape == (2, 0)
+
+
 class TestRequireFinite:
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     @pytest.mark.parametrize("shape", [(7,), (3, 4)])

@@ -17,9 +17,7 @@ from diffrefine.potentials import finite_difference_conformance
 from diffrefine.powerflow import (
     Branch,
     Bus,
-    Generator,
     GridCase,
-    Injections,
     PowerFlowState,
     build_ybus,
     evaluate,
