@@ -20,10 +20,11 @@ peak_rss_mb) and whether both sides produced the same output digest.
 After the summaries it exits 1, naming the pairs, if any pair's digests
 differ or any run failed an operation, so that a bit-for-bit claim
 cannot pass unnoticed.  Each run writes its record under its own tree's
-``perfbench/results/``, as run.py always does.
+``perfbench/results/``, as run.py always does.  A run lasts
+BENCHMARK.json's ``run_seconds`` unless ``--seconds`` says otherwise.
 
     python3 scripts/ab_pairs.py --parent ../parent --change . \\
-        --workload tabular-cyclic --pairs 10 --seed 9100 --seconds 24
+        --workload tabular-cyclic --pairs 10 --seed 9100
 """
 
 import argparse
@@ -95,6 +96,7 @@ def pair_faults(workload: str, seeds: list, parent: list, change: list) -> list:
 
 
 def main(argv=None) -> int:
+    spec = json.loads((ROOT / "BENCHMARK.json").read_text())
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--parent", type=Path, required=True, help="source tree of the parent")
     ap.add_argument("--change", type=Path, required=True, help="source tree of the change")
@@ -102,12 +104,12 @@ def main(argv=None) -> int:
                     help="workload name; repeat for several")
     ap.add_argument("--pairs", type=int, default=10)
     ap.add_argument("--seed", type=int, required=True, help="seed of the first pair")
-    ap.add_argument("--seconds", type=float, default=24.0)
+    ap.add_argument("--seconds", type=float, default=float(spec["run_seconds"]),
+                    help="length of each run (default: BENCHMARK.json's run_seconds)")
     args = ap.parse_args(argv)
     if args.pairs < 1:
         ap.error("--pairs must be at least 1")
 
-    spec = json.loads((ROOT / "BENCHMARK.json").read_text())
     metrics = [(m["name"], m["better"], float(m["bound"])) for m in spec["end_to_end"]]
     trees = {"parent": args.parent.resolve(), "change": args.change.resolve()}
     faults = []

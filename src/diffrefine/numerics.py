@@ -68,8 +68,10 @@ def solve_linear(a, b) -> np.ndarray:
 
     A stack, ``a`` of shape (m, n, n) and ``b`` of shape (m, n), is
     solved by one elimination over all m systems, and each system gets
-    the bytes of its own 2-D solve (``_solve_stack``).  A 2-D call keeps
-    the loop below, which solves one system about twice as fast.
+    the bytes of its own 2-D solve (``_solve_stack``).  The stack has
+    the loop's two economies: it swaps rows only where a pivot moved,
+    and it reuses one scratch buffer for the rank-1 product.  A 2-D call
+    keeps the loop below, which solves one system about twice as fast.
     """
     if np.ndim(a) == 3:
         return _solve_stack(a, b)
@@ -121,9 +123,12 @@ def _solve_stack(a, b) -> np.ndarray:
     update and division are elementwise, and each back-substitution dot
     is a (1, L) @ (L, 1) matmul, which numpy hands to the BLAS dot that
     the 2-D loop calls and adds to +0.0, as the 2-D loop does by hand;
-    so every system gets the bytes of its 2-D solve.  A singular column
-    raises SingularMatrixError there, with the indices of the systems
-    whose pivot fell short in ``systems``."""
+    so every system gets the bytes of its 2-D solve.  As in the 2-D
+    loop, a column swaps rows only in the systems whose pivot row is not
+    k (no Newton Jacobian of the bundled cases swaps any), and the
+    rank-1 product goes into one scratch buffer before it is subtracted.
+    A singular column raises SingularMatrixError there, with the indices
+    of the systems whose pivot fell short in ``systems``."""
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
     m, n = a.shape[:2]
@@ -142,12 +147,13 @@ def _solve_stack(a, b) -> np.ndarray:
     norm_a = np.abs(u[:, :, :n]).sum(axis=2).max(axis=1)
     threshold = PIVOT_RTOL * np.maximum(norm_a, np.finfo(float).tiny)
     systems = np.arange(m)
+    scratch = np.empty(m * (n - 1) * n)
     for k in range(n):
         column = np.abs(u[:, k:, k])
         p = column.argmax(axis=1)
         pivot = column[systems, p]
         short = pivot < threshold
-        if short.any():
+        if np.count_nonzero(short):
             short = np.flatnonzero(short)
             s = short[0]
             raise SingularMatrixError(
@@ -155,12 +161,17 @@ def _solve_stack(a, b) -> np.ndarray:
                 f" of system {s}",
                 systems=short.tolist(),
             )
-        rows = p + k  # row k itself where no swap is needed
-        row_k = u[systems, k]
-        u[systems, k] = u[systems, rows]
-        u[systems, rows] = row_k
-        mult = u[:, k + 1 :, k] / u[:, k, k, None]
-        u[:, k + 1 :, k + 1 :] -= mult[:, :, None] * u[:, k, None, k + 1 :]
+        if np.count_nonzero(p):
+            moved = np.flatnonzero(p)
+            rows = p[moved] + k
+            row_k = u[moved, k]
+            u[moved, k] = u[moved, rows]
+            u[moved, rows] = row_k
+        if k + 1 < n:
+            mult = u[:, k + 1 :, k] / u[:, k, k, None]
+            t = scratch[: m * (n - k - 1) * (n - k)].reshape(m, n - k - 1, n - k)
+            np.multiply(mult[:, :, None], u[:, k, None, k + 1 :], out=t)
+            u[:, k + 1 :, k + 1 :] -= t
     x = u[:, :, n].copy()
     diag = u.diagonal(axis1=1, axis2=2)
     for k in range(n - 1, -1, -1):

@@ -90,8 +90,7 @@ def injections_from_features(case: GridCase, row) -> Injections:
     return Injections(p_spec=p, q_spec=q)
 
 
-# Draws per newton_block call: keeps the Jacobian stack a few MiB and,
-# on the bundled cases, _power below numpy's 256 KiB elision size.
+# Draws per newton_block call: keeps the Jacobian stack a few MiB.
 BLOCK_DRAWS = 64
 
 

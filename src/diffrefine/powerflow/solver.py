@@ -112,11 +112,12 @@ def _voltages(ybus: YBus, vm, va):
 
 
 def _power(v, i) -> np.ndarray:
-    # np.conj(i) stays a temporary: numpy writes a product into a large
-    # temporary operand's buffer, with the operands swapped, and a
-    # complex product rounds differently with its operands swapped.
-    # Every recorded output was computed with this expression.
-    return v * np.conj(i)
+    # np.multiply, not `v * np.conj(i)`: from 256 KiB on, the operator
+    # writes its product into the temporary conj(i) with the operands
+    # swapped, and a swapped complex product rounds differently.  The
+    # call keeps v first at every size, so a row's bytes do not depend
+    # on how many rows share the call.
+    return np.multiply(v, np.conj(i))
 
 
 def mismatch(case: GridCase, ybus: YBus, state: PowerFlowState, injections: Injections | None = None):
@@ -248,9 +249,10 @@ def newton_block(case: GridCase, ybus: YBus, specs, tol: float = 1e-8) -> list:
 
     One loop serves the whole block: each iteration evaluates the rows
     still active as one stack and drops those that converged or failed.
-    A row's bytes are those of the one-row iteration: its currents are
-    a stack of one-row products, whose rows equal ``v @ Y.T`` of one
-    row (a many-row GEMM does not), the Jacobian's entries are
+    A row's bytes are those of the one-row iteration, on a grid of any
+    size: its currents are a stack of one-row products, whose rows equal
+    ``v @ Y.T`` of one row (a many-row GEMM does not), the power keeps
+    its operand order at every size (_power), the Jacobian's entries are
     elementwise per row, and solve_linear gives each system of a stack
     the bytes of its own solve.  A row whose Jacobian is singular fails
     and the rest are solved again.  Once one row is left, it takes

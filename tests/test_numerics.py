@@ -267,6 +267,21 @@ def block_stacks(monkeypatch, name, m):
     return [(a[:m], b[:m]) for a, b in calls]
 
 
+def column_dominant(rng, m, n):
+    """m systems whose diagonal entry outweighs the rest of its column,
+    so that partial pivoting never swaps a row."""
+    a = rng.normal((m, n, n))
+    a[:, np.arange(n), np.arange(n)] = np.abs(a).sum(axis=1) + 1.0
+    return a
+
+
+def solve_swaps(a, b) -> list:
+    """The columns at which the 2-D solve of one system swaps rows."""
+    swaps = []
+    reference_solve_linear(a, b, swaps)
+    return swaps
+
+
 class TestSolveStack:
     """solve_linear on (m, n, n) and (m, n) stacks against its 2-D path."""
 
@@ -277,6 +292,8 @@ class TestSolveStack:
         assert len(stacks) >= 3
         for a, b in stacks:
             assert a.ndim == 3 and len(a) == m
+            # no system swaps a row, so the stack skips every swap
+            assert all(solve_swaps(a[s], b[s]) == [] for s in range(m))
             assert_stack_matches_2d(a, b)
 
     def test_systems_with_row_swaps(self):
@@ -286,13 +303,40 @@ class TestSolveStack:
             b = rng.normal((6, n)) * 1e3
             swapped = []
             for j in range(6):
-                swaps = []
-                reference_solve_linear(a[j], b[j], swaps)
+                swaps = solve_swaps(a[j], b[j])
                 assert swaps
                 swapped.append(set(swaps))
             # some column swaps rows in one system and not in another
             assert set.union(*swapped) != set.intersection(*swapped)
             assert_stack_matches_2d(a, b)
+
+    def test_swaps_only_where_a_pivot_moved(self):
+        a = column_dominant(Rng(77), 6, 7)
+        b = Rng(78).normal((6, 7))
+        # rows k and j trade places: the solve swaps them back at
+        # column k, and the other systems do not swap there
+        for s, (k, j) in {1: (0, 3), 2: (2, 6), 4: (0, 5), 5: (2, 3)}.items():
+            a[s, [k, j]] = a[s, [j, k]]
+        assert [solve_swaps(a[s], b[s]) for s in range(6)] == [[], [0], [2], [], [0], [2]]
+        assert_stack_matches_2d(a, b)
+
+    def test_singular_column_after_a_skipped_swap(self):
+        a = column_dominant(Rng(81), 4, 6)
+        b = Rng(82).normal((4, 6))
+        a[1, [0, 4]] = a[1, [4, 0]]  # system 1 swaps at column 0, the rest do not
+        a[2, :, 3] = a[2, :, 2]  # singular in column 3
+        assert solve_swaps(a[1], b[1]) == [0]
+        swaps = []
+        with pytest.raises(SingularMatrixError):
+            reference_solve_linear(a[2], b[2], swaps)
+        assert swaps == []
+        with pytest.raises(SingularMatrixError) as err:
+            solve_linear(a, b)
+        assert err.value.systems == [2]
+        want = assert_same_solve(a[2], b[2])
+        assert want.endswith("in column 3")
+        assert str(err.value) == f"{want} of system 2"
+        assert_stack_matches_2d(a[[0, 1, 3]], b[[0, 1, 3]])
 
     def test_zeros_and_negative_zeros(self):
         rng = Rng(8)

@@ -361,6 +361,16 @@ class TestGridResidual:
         shared = grid_residual(ieee14, ybus, xs, spec)
         assert np.array_equal(shared, grid_residual(ieee14, ybus, xs, np.tile(spec, (5, 1))))
 
+    @pytest.mark.parametrize("shape", [(546, 30), (547, 30), (64, 300)])
+    def test_power_rows_match_one_row_calls(self, shape):
+        # From 256 KiB on (547 rows of 30 buses), `v * np.conj(i)` would
+        # write into the temporary conj(i) with its operands swapped.
+        rng = Rng(12)
+        v = rng.normal(shape) + 1j * rng.normal(shape)
+        i = rng.normal(shape) + 1j * rng.normal(shape)
+        rows = [solver._power(v[r : r + 1], i[r : r + 1])[0] for r in range(shape[0])]
+        assert solver._power(v, i).tobytes() == np.array(rows).tobytes()
+
 
 # The Kirchhoff kernel as it was before one expansion of the states
 # served the residual, the Jacobian and the gradient: a flat start built
@@ -391,7 +401,9 @@ def reference_states(case, xs):
 def reference_residual(case, ybus, vm, va, spec):
     v = vm * np.exp(1j * va)
     i = v @ ybus.complex_matrix.T
-    s = v * np.conj(i)
+    # v first at every size: from 256 KiB on, `v * np.conj(i)` would
+    # multiply in the temporary conj(i) with the operands swapped
+    s = np.multiply(v, np.conj(i))
     k = len(case.non_slack)
     return np.concatenate(
         [spec[..., :k] - s.real[..., case.non_slack], spec[..., k:] - s.imag[..., case.pq]], axis=-1

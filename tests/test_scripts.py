@@ -124,3 +124,26 @@ def test_ab_pairs_exits_1_on_a_digest_mismatch(monkeypatch, capsys, tmp_path):
         "FAIL pf30-scenarios pair seed 7: output digests differ",
         "FAIL pf30-scenarios pair seed 8: output digests differ",
     ]
+
+
+def test_ab_pairs_runs_last_as_long_as_the_benchmark_runs(monkeypatch, capsys, tmp_path):
+    # A BENCHMARK.json whose run_seconds is not 24 shows where the
+    # default comes from; run_once is stubbed, so no pair runs.
+    ab_pairs = _load_ab_pairs()
+    spec = json.loads((SCRIPTS.parent / "BENCHMARK.json").read_text())
+    (tmp_path / "BENCHMARK.json").write_text(json.dumps(dict(spec, run_seconds=7)))
+    monkeypatch.setattr(ab_pairs, "ROOT", tmp_path)
+    seen = []
+
+    def run_once(tree, workload, seed, seconds):
+        seen.append(seconds)
+        return {"metrics": {m["name"]: {"value": 1.0} for m in spec["end_to_end"]},
+                "attempted": 4, "failed": 0, "digest": "d0"}
+
+    monkeypatch.setattr(ab_pairs, "run_once", run_once)
+    argv = ["--parent", str(tmp_path), "--change", str(tmp_path),
+            "--workload", "toy-basins", "--pairs", "1", "--seed", "5"]
+    assert ab_pairs.main(argv) == 0
+    assert "7.0 s runs" in capsys.readouterr().out
+    assert ab_pairs.main(argv + ["--seconds", "0.5"]) == 0
+    assert seen == [7.0, 7.0, 0.5, 0.5]
