@@ -17,6 +17,10 @@ how many pairs the change won (ties count for neither), and one verdict:
 It also reports, per pair, each side's attempted and failed operations
 (a run that attempts more operations keeps more outputs, which lifts
 peak_rss_mb) and whether both sides produced the same output digest.
+Per side, it fits peak_rss_mb to the attempted count across the pairs
+by least squares: the slope, in MiB per 1,000 attempted operations, is
+what the harness's retained outputs add, and the intercept the memory
+of the program itself.
 After the summaries it exits 1, naming the pairs, if any pair's digests
 differ or any run failed an operation, so that a bit-for-bit claim
 cannot pass unnoticed.  Each run writes its record under its own tree's
@@ -80,6 +84,17 @@ def summarize(name: str, better: str, bound: float, parent: list, change: list) 
     )
 
 
+def rss_fit(runs: list) -> str:
+    """The least-squares line of peak_rss_mb against attempted operations
+    over one side's runs, as "slope per 1,000 attempted, intercept"."""
+    attempted = [r["attempted"] / 1000.0 for r in runs]
+    rss = [r["metrics"]["peak_rss_mb"]["value"] for r in runs]
+    if len(set(attempted)) < 2:
+        return "n/a (fewer than two distinct attempted counts)"
+    slope, intercept = statistics.linear_regression(attempted, rss)
+    return f"{slope:.4g} MiB per 1,000 attempted, {intercept:.4g} MiB at none"
+
+
 def pair_faults(workload: str, seeds: list, parent: list, change: list) -> list:
     """One line per pair whose output digests differ or whose runs
     failed operations; empty when every pair is clean."""
@@ -136,6 +151,8 @@ def main(argv=None) -> int:
                 [r["metrics"][name]["value"] for r in runs["parent"]],
                 [r["metrics"][name]["value"] for r in runs["change"]],
             ))
+        for side in ("parent", "change"):
+            print(f"  peak_rss_mb fit, {side}: {rss_fit(runs[side])}")
         seeds = [args.seed + i for i in range(args.pairs)]
         faults += pair_faults(workload, seeds, runs["parent"], runs["change"])
     for line in faults:

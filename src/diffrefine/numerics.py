@@ -57,7 +57,7 @@ def solve_linear(a, b) -> np.ndarray:
     below PIVOT_RTOL times the infinity norm of ``a``.  Written out
     rather than delegated so the singularity contract is explicit.
 
-    Elimination runs on one ``(n, n+1)`` array ``[a | b]``: each step
+    Elimination runs on one augmented array ``[a | b]``: each step
     swaps whole rows and applies one rank-1 update to the trailing
     block, right-hand side included.  Each entry still gets exactly
     the textbook ``u[i, j] - (u[i, k] / u[k, k]) * u[k, j]``, so the
@@ -65,6 +65,13 @@ def solve_linear(a, b) -> np.ndarray:
     that keeps ``b`` apart.  Back-substitution dots contiguous slices,
     as that loop's ``@`` does, since a strided dot may sum in another
     order.
+
+    ``b`` of shape (m, n) holds m right-hand sides of the one matrix
+    ``a`` (Newton's first iteration, where every scenario sits at the
+    flat start): the same elimination carries them as m columns of
+    ``[a | bᵀ]``, and back-substitution takes, per row, the (1, L) @
+    (L, 1) dot of ``_solve_stack``, so row j of the result has the
+    bytes of ``solve_linear(a, b[j])``.
 
     A stack, ``a`` of shape (m, n, n) and ``b`` of shape (m, n), is
     solved by one elimination over all m systems, and each system gets
@@ -76,23 +83,26 @@ def solve_linear(a, b) -> np.ndarray:
     if np.ndim(a) == 3:
         return _solve_stack(a, b)
     a = as_matrix(a, "a")
-    b = as_vector(b, "b")
     n, m = a.shape
     if n != m:
         raise DimensionMismatchError(f"a must be square, got {a.shape}")
-    if b.shape[0] != n:
+    b = np.asarray(b, dtype=float)
+    if b.ndim == 1 and b.shape[0] != n:
         raise DimensionMismatchError(f"b has length {b.shape[0]}, expected {n}")
+    if b.ndim not in (1, 2) or b.shape[-1] != n:
+        raise DimensionMismatchError(f"b needs shape ({n},) or (m, {n}), got {b.shape}")
     require_finite(a, "a")
     require_finite(b, "b")
-    if n == 0:
-        return np.zeros(0)
+    r = 1 if b.ndim == 1 else b.shape[0]
+    if n == 0 or r == 0:
+        return np.zeros(b.shape)
 
-    u = np.empty((n, n + 1))
+    u = np.empty((n, n + r))
     u[:, :n] = a
-    u[:, n] = b
+    u[:, n:] = b.reshape(r, n).T
     norm_a = float(np.abs(u[:, :n]).sum(axis=1).max())
     threshold = PIVOT_RTOL * max(norm_a, np.finfo(float).tiny)
-    scratch = np.empty((n - 1) * n)
+    scratch = np.empty((n - 1) * (n - 1 + r))
     for k in range(n):
         p = k + int(np.abs(u[k:, k]).argmax())
         if abs(u[p, k]) < threshold:
@@ -103,9 +113,17 @@ def solve_linear(a, b) -> np.ndarray:
             u[[k, p]] = u[[p, k]]
         if k + 1 < n:
             mult = u[k + 1 :, k] / u[k, k]
-            t = scratch[: (n - k - 1) * (n - k)].reshape(n - k - 1, n - k)
+            t = scratch[: (n - k - 1) * (n - k - 1 + r)].reshape(n - k - 1, n - k - 1 + r)
             np.multiply(mult[:, None], u[k, k + 1 :], out=t)
             u[k + 1 :, k + 1 :] -= t
+    if b.ndim == 2:
+        x = u[:, n:].T.copy()
+        diag = u.diagonal()
+        for k in range(n - 1, -1, -1):
+            dot = np.matmul(u[k, None, k + 1 : n], x[:, k + 1 :, None])[:, 0, 0]
+            x[:, k] = (x[:, k] - dot) / diag[k]
+        require_finite(x, "solution")
+        return x
     x = u[:, n].copy()
     diag = u.diagonal().tolist()
     for k in range(n - 1, -1, -1):
@@ -127,8 +145,15 @@ def _solve_stack(a, b) -> np.ndarray:
     loop, a column swaps rows only in the systems whose pivot row is not
     k (no Newton Jacobian of the bundled cases swaps any), and the
     rank-1 product goes into one scratch buffer before it is subtracted.
-    A singular column raises SingularMatrixError there, with the indices
-    of the systems whose pivot fell short in ``systems``."""
+
+    Pivots are tested once, after elimination: ``|u[s, k, k]|`` is
+    system s's pivot of column k, final once that column is done, and
+    a system's columns before its first short pivot are those of its
+    2-D solve.  The first column at which any pivot falls short raises
+    SingularMatrixError with the 2-D text plus " of system s", and the
+    indices of the systems short there in ``systems``.  A singular
+    system's arithmetic after its short column is discarded, and runs
+    with numpy's warnings off."""
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
     m, n = a.shape[:2]
@@ -146,34 +171,34 @@ def _solve_stack(a, b) -> np.ndarray:
     u[:, :, n] = b
     norm_a = np.abs(u[:, :, :n]).sum(axis=2).max(axis=1)
     threshold = PIVOT_RTOL * np.maximum(norm_a, np.finfo(float).tiny)
-    systems = np.arange(m)
     scratch = np.empty(m * (n - 1) * n)
-    for k in range(n):
-        column = np.abs(u[:, k:, k])
-        p = column.argmax(axis=1)
-        pivot = column[systems, p]
-        short = pivot < threshold
-        if np.count_nonzero(short):
-            short = np.flatnonzero(short)
-            s = short[0]
-            raise SingularMatrixError(
-                f"pivot {pivot[s]:.3e} below threshold {threshold[s]:.3e} in column {k}"
-                f" of system {s}",
-                systems=short.tolist(),
-            )
-        if np.count_nonzero(p):
-            moved = np.flatnonzero(p)
-            rows = p[moved] + k
-            row_k = u[moved, k]
-            u[moved, k] = u[moved, rows]
-            u[moved, rows] = row_k
-        if k + 1 < n:
-            mult = u[:, k + 1 :, k] / u[:, k, k, None]
-            t = scratch[: m * (n - k - 1) * (n - k)].reshape(m, n - k - 1, n - k)
-            np.multiply(mult[:, :, None], u[:, k, None, k + 1 :], out=t)
-            u[:, k + 1 :, k + 1 :] -= t
-    x = u[:, :, n].copy()
+    with np.errstate(all="ignore"):
+        for k in range(n):
+            p = np.abs(u[:, k:, k]).argmax(axis=1)
+            if np.count_nonzero(p):
+                moved = np.flatnonzero(p)
+                rows = p[moved] + k
+                row_k = u[moved, k]
+                u[moved, k] = u[moved, rows]
+                u[moved, rows] = row_k
+            if k + 1 < n:
+                mult = u[:, k + 1 :, k] / u[:, k, k, None]
+                t = scratch[: m * (n - k - 1) * (n - k)].reshape(m, n - k - 1, n - k)
+                np.multiply(mult[:, :, None], u[:, k, None, k + 1 :], out=t)
+                u[:, k + 1 :, k + 1 :] -= t
     diag = u.diagonal(axis1=1, axis2=2)
+    pivots = np.abs(diag)
+    short = pivots < threshold[:, None]
+    if np.count_nonzero(short):
+        k = int(short.any(axis=0).argmax())
+        failed = np.flatnonzero(short[:, k])
+        s = failed[0]
+        raise SingularMatrixError(
+            f"pivot {pivots[s, k]:.3e} below threshold {threshold[s]:.3e} in column {k}"
+            f" of system {s}",
+            systems=failed.tolist(),
+        )
+    x = u[:, :, n].copy()
     for k in range(n - 1, -1, -1):
         dot = np.matmul(u[:, k, None, k + 1 : n], x[:, k + 1 :, None])[:, 0, 0]
         x[:, k] = (x[:, k] - dot) / diag[:, k]

@@ -13,8 +13,11 @@ to the per-quantity expansions this kernel replaced, memory layouts
 included, since numpy's reductions round by layout.
 
 One Newton loop: newton_block iterates a block of scenarios together,
-with one stacked linear solve per iteration, and gives each scenario
-the bytes of solving it alone; newton_raphson is a block of one.
+with one linear solve per iteration, and gives each scenario the bytes
+of solving it alone; newton_raphson is a block of one.  Every scenario
+starts from the same flat start, and the Jacobian depends on the state
+alone, so the first iteration solves all of them against one Jacobian
+in one elimination; later iterations solve a stack of Jacobians.
 """
 
 from __future__ import annotations
@@ -253,11 +256,16 @@ def newton_block(case: GridCase, ybus: YBus, specs, tol: float = 1e-8) -> list:
     size: its currents are a stack of one-row products, whose rows equal
     ``v @ Y.T`` of one row (a many-row GEMM does not), the power keeps
     its operand order at every size (_power), the Jacobian's entries are
-    elementwise per row, and solve_linear gives each system of a stack
-    the bytes of its own solve.  A row whose Jacobian is singular fails
-    and the rest are solved again.  Once one row is left, it takes
-    power_jacobian and the 2-D solve, which are faster for one system.
-    A non-finite Jacobian or step raises NonFiniteError for the block.
+    elementwise per row, and solve_linear gives each system of a stack,
+    and each right-hand side of one matrix, the bytes of its own solve.
+    At iteration 0 every row sits at the flat start, so power_jacobian
+    is built once and all rows' mismatches are solved against it in one
+    elimination; if it is singular, every row fails.  Later iterations
+    solve the stack of the rows' Jacobians, and a row whose Jacobian is
+    singular fails and the rest are solved again.  Once one row is
+    left, it takes power_jacobian and the 2-D solve, which are faster
+    for one system.  A non-finite Jacobian or step raises
+    NonFiniteError for the block.
     """
     specs = np.asarray(specs, dtype=float)
     m = specs.shape[0]
@@ -297,7 +305,7 @@ def newton_block(case: GridCase, ybus: YBus, specs, tol: float = 1e-8) -> list:
             break
         if not going.all():
             active, vm, va, v, i, f = (a[going] for a in (active, vm, va, v, i, f))
-        step, singular = _newton_steps(case, ybus, vm, va, v, i, f)
+        step, singular = _newton_steps(case, ybus, vm, va, v, i, f, it == 0)
         for r in active[singular].tolist():
             outcomes[r] = NoConvergenceError(
                 "singular Jacobian during Newton iteration",
@@ -308,14 +316,18 @@ def newton_block(case: GridCase, ybus: YBus, specs, tol: float = 1e-8) -> list:
     return outcomes
 
 
-def _newton_steps(case: GridCase, ybus: YBus, vm, va, v, i, f):
+def _newton_steps(case: GridCase, ybus: YBus, vm, va, v, i, f, flat: bool):
     """The Newton steps of the active rows whose Jacobian is regular,
-    and the mask of the rows whose Jacobian is singular."""
+    and the mask of the rows whose Jacobian is singular.  At the flat
+    start every row has row 0's Jacobian, so all rows are solved
+    against it in one elimination, and all fail if it is singular."""
     singular = np.zeros(f.shape[0], dtype=bool)
-    if f.shape[0] == 1:
+    if flat or f.shape[0] == 1:
         jac = power_jacobian(case, ybus, PowerFlowState(vm=vm[0], va=va[0]))
         try:
-            return solve_linear(jac, f[0])[None], singular
+            if f.shape[0] == 1:
+                return solve_linear(jac, f[0])[None], singular
+            return solve_linear(jac, f), singular
         except SingularMatrixError:
             return np.empty((0, f.shape[1])), ~singular
     jac = _jacobian(case, ybus, v, i)

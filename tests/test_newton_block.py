@@ -4,6 +4,8 @@ scenario at a time, and a draw loop that draws, solves and scans one
 scenario at a time.  Outcomes must agree byte for byte, and failures
 by message, iteration count and residual."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -238,19 +240,124 @@ class TestBlock:
             else:
                 assert_same_outcome(g, reference_newton_raphson(case, ybus, inj))
 
-    def test_non_finite_jacobian_aborts_the_block(self, monkeypatch):
+    def test_rows_singular_at_two_columns_leave_without_warnings(self, monkeypatch):
+        """Two rows of a six-row stack go singular at iteration 1, at
+        different columns, one with an exact zero pivot: the stack names
+        the earlier column's row, the next stack the other, and the rest
+        keep the bytes of their own Newton loop.  Nothing warns."""
         case = load_case("ieee14")
         ybus = build_ybus(case)
+        injections = scenario_specs(case, 6, 0.2, 9)
+        specs = np.array([injection_features(case, inj) for inj in injections])
         original = solver._jacobian
+        calls = []
+        errors = []
 
         def jacobian(*args):
             jac = np.array(original(*args))
-            jac[2, 0, 0] = np.nan
+            if len(calls) == 1:
+                jac[1, :, 9] = jac[1, :, 8]  # singular in column 9
+                jac[4, :, 3] = 0.0  # singular in column 3
+            calls.append(len(jac))
+            return jac
+
+        def spy(a, b):
+            try:
+                return solve_linear(a, b)
+            except SingularMatrixError as err:
+                errors.append((len(a), err.systems, str(err).rsplit(" in ", 1)[1]))
+                raise
+
+        monkeypatch.setattr(solver, "_jacobian", jacobian)
+        monkeypatch.setattr(solver, "solve_linear", spy)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = newton_block(case, ybus, specs)
+        monkeypatch.undo()
+        assert calls[:2] == [1, 6]
+        assert errors == [(6, [4], "column 3 of system 4"), (5, [1], "column 9 of system 1")]
+        for r, (g, inj) in enumerate(zip(got, injections)):
+            if r in (1, 4):
+                assert isinstance(g, NoConvergenceError)
+                assert str(g) == "singular Jacobian during Newton iteration"
+                assert g.iterations == 1
+            else:
+                assert_same_outcome(g, reference_newton_raphson(case, ybus, inj))
+
+    def test_non_finite_jacobian_aborts_the_block(self, monkeypatch):
+        """A NaN in row 2 of iteration 1's stack raises for the block
+        (iteration 0 builds one flat-start Jacobian, a stack of one)."""
+        self.assert_nan_aborts(monkeypatch, 1)
+
+    def test_non_finite_flat_start_jacobian_aborts_the_block(self, monkeypatch):
+        self.assert_nan_aborts(monkeypatch, 0)
+
+    @staticmethod
+    def assert_nan_aborts(monkeypatch, call):
+        case = load_case("ieee14")
+        original = solver._jacobian
+        calls = []
+
+        def jacobian(*args):
+            jac = np.array(original(*args))
+            if len(calls) == call:
+                jac[min(2, len(jac) - 1), 0, 0] = np.nan
+            calls.append(len(jac))
             return jac
 
         monkeypatch.setattr(solver, "_jacobian", jacobian)
         with pytest.raises(NonFiniteError):
             data.generate_dataset(case, 0, 0, 5, seed=1)
+        assert calls == [1, 5][: call + 1]
+
+
+class TestFlatStartSolve:
+    """Iteration 0 solves every row against one flat-start Jacobian."""
+
+    @pytest.mark.parametrize("m", [1, 2, 5, 64])
+    def test_iteration_0_makes_one_2d_call(self, monkeypatch, m):
+        case = load_case("ieee30")
+        ybus = build_ybus(case)
+        specs = np.array([injection_features(case, inj) for inj in scenario_specs(case, m, 0.2, 24)])
+        calls = []
+
+        def spy(a, b):
+            calls.append((np.ndim(a), np.shape(b)))
+            return solve_linear(a, b)
+
+        monkeypatch.setattr(solver, "solve_linear", spy)
+        got = newton_block(case, ybus, specs)
+        monkeypatch.undo()
+        # one call per iteration that some row still needed
+        assert len(calls) == max(g.iterations for g in got) >= 2
+        n = case.n_unknowns
+        if m == 1:  # a block of one keeps the one-right-hand-side solve
+            assert calls == [(2, (n,))] * len(calls)
+        else:
+            assert calls[:2] == [(2, (m, n)), (3, (m, n))]
+
+    def test_singular_flat_start_fails_every_row(self, monkeypatch):
+        """Every row shares the flat-start Jacobian, so when it is
+        singular every row fails at iteration 0, as each would alone."""
+        case = load_case("ieee14")
+        ybus = build_ybus(case)
+        injections = scenario_specs(case, 4, 0.2, 10)
+        specs = np.array([injection_features(case, inj) for inj in injections])
+        original = solver._jacobian
+
+        def jacobian(case, ybus, v, i):
+            jac = np.array(original(case, ybus, v, i))
+            if not np.any(v.imag):  # every angle zero: the flat start
+                jac[:] = 0.0
+            return jac
+
+        monkeypatch.setattr(solver, "_jacobian", jacobian)
+        got = newton_block(case, ybus, specs)
+        want = [outcome(reference_newton_raphson, case, ybus, inj) for inj in injections]
+        for g, w in zip(got, want):
+            assert isinstance(w, NoConvergenceError) and w.iterations == 0
+            assert str(w) == "singular Jacobian during Newton iteration"
+            assert_same_outcome(g, w)
 
 
 class TestDraws:
@@ -301,3 +408,4 @@ class TestDraws:
                 data._draw_split(case, ybus, cap + 1, 0.1, Rng(7), 1e-8)
         assert str(got.value) == str(want.value)
         assert str(want.value).endswith(f" of {cap} scenario draws failed to converge")
+

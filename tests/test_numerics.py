@@ -1,5 +1,7 @@
 """Linear solves, derivative probes, seeded streams."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -244,17 +246,33 @@ def assert_stack_matches_2d(a, b):
         assert x[j].tobytes() == solve_linear(a[j], b[j]).tobytes()
 
 
-def block_stacks(monkeypatch, name, m):
-    """The (a, b) stacks, as passed, of a newton_block call on max(m, 2)
-    scenario draws (a block of one would take the 2-D solve)."""
-    case = load_case(name)
+def assert_rows_match_2d(a, b):
+    """Each right-hand side of a many-right-hand-side solve gets the
+    bytes of its own 2-D solve."""
+    x = solve_linear(a, b)
+    assert x.shape == np.shape(b)
+    for j in range(len(b)):
+        assert x[j].tobytes() == solve_linear(a, b[j]).tobytes()
+
+
+def draw_specs(case, m):
+    """The spec rows of m seeded load draws, as data.py draws them."""
     rng = Rng(23)
     specs = []
-    for _ in range(max(m, 2)):
+    for _ in range(m):
         pd = case.pd * (1.0 + 0.2 * rng.uniform(-1.0, 1.0, size=case.n))
         qd = case.qd * (1.0 + 0.2 * rng.uniform(-1.0, 1.0, size=case.n))
         pg = case.pg * float(pd.sum()) / float(case.pd.sum())
         specs.append(solver.injection_features(case, load_injections(case, pd, qd, pg)))
+    return np.array(specs)
+
+
+def block_stacks(monkeypatch, name, m):
+    """The solves of a newton_block call on max(m, 2) scenario draws (a
+    block of one would take the 2-D solve): iteration 0's (a, b) as
+    passed, and the (a, b) stacks of later iterations cut to their
+    first m systems."""
+    case = load_case(name)
     calls = []
 
     def spy(a, b):
@@ -262,9 +280,10 @@ def block_stacks(monkeypatch, name, m):
         return solve_linear(a, b)
 
     monkeypatch.setattr(solver, "solve_linear", spy)
-    solver.newton_block(case, solver.build_ybus(case), np.array(specs))
+    solver.newton_block(case, solver.build_ybus(case), draw_specs(case, max(m, 2)))
     monkeypatch.undo()
-    return [(a[:m], b[:m]) for a, b in calls]
+    first, *rest = calls
+    return first, [(a[:m], b[:m]) for a, b in rest]
 
 
 def column_dominant(rng, m, n):
@@ -288,8 +307,11 @@ class TestSolveStack:
     @pytest.mark.parametrize("name", ["ieee14", "ieee30"])
     @pytest.mark.parametrize("m", [1, 5, 64])
     def test_newton_jacobian_stacks(self, monkeypatch, name, m):
-        stacks = block_stacks(monkeypatch, name, m)
-        assert len(stacks) >= 3
+        (a0, b0), stacks = block_stacks(monkeypatch, name, m)
+        # iteration 0: one flat-start Jacobian, every draw's mismatch
+        assert a0.ndim == 2 and b0.shape == (max(m, 2), len(a0))
+        assert_rows_match_2d(a0, b0)
+        assert len(stacks) >= 2
         for a, b in stacks:
             assert a.ndim == 3 and len(a) == m
             # no system swaps a row, so the stack skips every swap
@@ -374,6 +396,38 @@ class TestSolveStack:
         assert str(second.value) == f"{assert_same_solve(a[3], b[3])} of system 2"
         assert_stack_matches_2d(a[[0, 2, 5]], b[[0, 2, 5]])
 
+    def test_pivots_are_checked_after_elimination(self):
+        """Systems singular at two columns: only the earlier column is
+        named, with the systems short there, the 2-D text and its pivot.
+        The singular systems' arithmetic after their short column (0/0
+        among it) warns nothing."""
+        rng = Rng(43)
+        n = 7
+        a = rng.normal((8, n, n)) * np.arange(1.0, n + 1.0)[:, None]
+        b = rng.normal((8, n))
+        a[0, :, 5] = 0.0  # singular in column 5
+        a[2, :, 5] = a[2, :, 4]  # and in column 5
+        a[4, :, 2] = 3.0 * a[4, :, 1]  # singular in column 2
+        a[6, :, 2] = 0.0  # and in column 2
+        texts = {s: assert_same_solve(a[s], b[s]) for s in range(8)}
+        assert {s: t.rsplit(" ", 1)[1] for s, t in texts.items() if t} == {
+            0: "5", 2: "5", 4: "2", 6: "2"
+        }
+        assert any(solve_swaps(a[s], b[s]) for s in (1, 3, 5, 7))
+        assert float(texts[4].split()[1]) > 0.0  # a rounded pivot, not an exact zero
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(SingularMatrixError) as first:
+                solve_linear(a, b)
+            assert first.value.systems == [4, 6]
+            assert str(first.value) == f"{texts[4]} of system 4"
+            rest = [0, 1, 2, 3, 5, 7]
+            with pytest.raises(SingularMatrixError) as second:
+                solve_linear(a[rest], b[rest])
+            assert second.value.systems == [0, 2]
+            assert str(second.value) == f"{texts[0]} of system 0"
+            assert_stack_matches_2d(a[[1, 3, 5, 7]], b[[1, 3, 5, 7]])
+
     def test_shapes_non_finite_and_empty_stacks(self):
         a = np.stack([np.eye(3)] * 2)
         for bad_a, bad_b in ((a, np.ones((2, 4))), (a, np.ones(3)), (np.ones((2, 3, 4)), np.ones((2, 3)))):
@@ -387,6 +441,72 @@ class TestSolveStack:
             solve_linear(a, np.array([[1.0, 2.0, 3.0], [np.inf, 0.0, 0.0]]))
         assert solve_linear(np.zeros((0, 3, 3)), np.zeros((0, 3))).shape == (0, 3)
         assert solve_linear(np.zeros((2, 0, 0)), np.zeros((2, 0))).shape == (2, 0)
+
+
+class TestManyRightHandSides:
+    """solve_linear on one (n, n) matrix and (m, n) right-hand sides
+    against its 2-D path, one right-hand side at a time."""
+
+    @pytest.mark.parametrize("name", ["ieee14", "ieee30"])
+    @pytest.mark.parametrize("m", [2, 5, 64])
+    def test_flat_start_jacobians(self, name, m):
+        case = load_case(name)
+        ybus = solver.build_ybus(case)
+        start = solver.flat_start(case)
+        jac = solver.power_jacobian(case, ybus, start)
+        xs = np.tile(solver.pack_state(case, start), (m, 1))
+        assert_rows_match_2d(jac, solver.grid_residual(case, ybus, xs, draw_specs(case, m)))
+
+    def test_systems_with_row_swaps(self):
+        rng = Rng(2026)
+        for n in (4, 9, 30, 53):
+            a = rng.normal((n, n)) * np.arange(1.0, n + 1.0)[:, None]
+            b = rng.normal((7, n)) * 1e3
+            # rows swap at some columns and not at others
+            assert 0 < len(solve_swaps(a, b[0])) < n - 1
+            assert_rows_match_2d(a, b)
+
+    def test_zeros_and_negative_zeros(self):
+        rng = Rng(9)
+        for n in (1, 2, 3, 5, 8):
+            a = rng.normal((n, n))
+            a[rng.uniform(size=(n, n)) < 0.4] = 0.0
+            a[rng.uniform(size=(n, n)) < 0.2] = -0.0
+            a[np.diag_indices(n)] += np.where(rng.uniform(size=n) < 0.5, 3.0, -3.0)
+            b = rng.normal((12, n))
+            b[rng.uniform(size=b.shape) < 0.4] = 0.0
+            b[rng.uniform(size=b.shape) < 0.3] = -0.0
+            assert_rows_match_2d(a, np.vstack([b, np.zeros(n), -np.zeros(n)]))
+        # the one-entry dot of the first row sums from +0.0, as in 2-D
+        x = solve_linear(np.array([[-2.0, 0.0], [0.0, 3.0]]), -np.zeros((3, 2)))
+        assert np.signbit(x).tolist() == [[False, True]] * 3
+
+    def test_shapes_non_finite_and_no_right_hand_sides(self):
+        a = np.eye(3)
+        for bad_b in (np.ones((2, 4)), np.ones((3, 2)), np.ones((2, 3, 3)), np.float64(1.0)):
+            with pytest.raises(DimensionMismatchError):
+                solve_linear(a, bad_b)
+        with pytest.raises(DimensionMismatchError):
+            solve_linear(np.ones((2, 3)), np.ones((4, 2)))
+        with pytest.raises(NonFiniteError):
+            solve_linear(a, np.array([[1.0, 2.0, 3.0], [np.inf, 0.0, 0.0]]))
+        nan = a.copy()
+        nan[2, 0] = np.nan
+        with pytest.raises(NonFiniteError):
+            solve_linear(nan, np.ones((2, 3)))
+        assert solve_linear(a, np.zeros((0, 3))).shape == (0, 3)
+        assert solve_linear(np.zeros((0, 0)), np.zeros((4, 0))).shape == (4, 0)
+
+    def test_singular_matrix_raises_the_2d_text(self):
+        a = Rng(5).normal((6, 6)) + 6.0 * np.eye(6)
+        a[:, 3] = a[:, 2]
+        b = Rng(6).normal((4, 6))
+        with pytest.raises(SingularMatrixError) as err:
+            solve_linear(a, b)
+        want = assert_same_solve(a, b[0])
+        assert want.endswith("in column 3")
+        assert str(err.value) == want
+        assert err.value.systems == []
 
 
 class TestRequireFinite:

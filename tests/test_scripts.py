@@ -147,3 +147,30 @@ def test_ab_pairs_runs_last_as_long_as_the_benchmark_runs(monkeypatch, capsys, t
     assert "7.0 s runs" in capsys.readouterr().out
     assert ab_pairs.main(argv + ["--seconds", "0.5"]) == 0
     assert seen == [7.0, 7.0, 0.5, 0.5]
+
+
+def test_ab_pairs_fits_peak_rss_to_attempted_operations(monkeypatch, capsys, tmp_path):
+    # Each side's peak_rss_mb is a line in its attempted count, so the
+    # fit recovers that line's slope per 1,000 attempted and intercept.
+    ab_pairs = _load_ab_pairs()
+    lines = {"a": (40.0, 1.1), "b": (45.0, 0.5)}
+    attempted = iter([3000, 3000, 5000, 5000, 7000, 7000, 9000, 9000])
+
+    def run_once(tree, workload, seed, seconds):
+        count = next(attempted)
+        intercept, slope = lines[tree.name]
+        values = {name: 1.0 for name in ("setup_s", "rows_per_s", "pass_s")}
+        values["peak_rss_mb"] = intercept + slope * count / 1000.0
+        return {"metrics": {name: {"value": v} for name, v in values.items()},
+                "attempted": count, "failed": 0, "digest": "d0"}
+
+    monkeypatch.setattr(ab_pairs, "run_once", run_once)
+    argv = ["--parent", str(tmp_path / "a"), "--change", str(tmp_path / "b"),
+            "--workload", "pf30-scenarios", "--pairs", "4", "--seed", "7"]
+    assert ab_pairs.main(argv) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert "  peak_rss_mb fit, parent: 1.1 MiB per 1,000 attempted, 40 MiB at none" in out
+    assert "  peak_rss_mb fit, change: 0.5 MiB per 1,000 attempted, 45 MiB at none" in out
+    # one pair, or equal counts, leave the slope undefined
+    assert ab_pairs.rss_fit([{"attempted": 5, "metrics": {"peak_rss_mb": {"value": 1.0}}}] * 2) \
+        == "n/a (fewer than two distinct attempted counts)"
