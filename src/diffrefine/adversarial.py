@@ -25,7 +25,7 @@ import numpy as np
 
 from .diffusion import train_noise_model
 from .errors import ConfigError, DataError, NumericError, dataclass_from_config
-from .guidance import RefineConfig, refine
+from .guidance import RefineConfig, refine_batch
 from .model_store import (
     MANIFEST_VERSION,
     TrainedModel,
@@ -439,7 +439,7 @@ def cyclic_attack(
         z = _signed_gradient_steps(model, z, ball, y, cfg, lo, hi, cfg.k)
         x = model.x_norm.decode(z)
         log.phi_after_pgd.append(pot.value_batch(x))
-        refined = np.stack([refine(row, pot, prior, refine_cfg).x for row in x])
+        refined = refine_batch(x, [pot] * x.shape[0], prior, refine_cfg)[0]
         z_ref = model.x_norm.encode(refined)
         z = _project(z_ref, ball, lo, hi)
         moved = np.abs(z - z_ref).max(axis=1) > 1e-12

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError, SingularHessianError, SingularMatrixError
-from .guidance import RefineConfig, Trajectory, refine
+from .guidance import RefineConfig, Trajectory, refine_batch
 from .model_store import TrainedModel
 from .numerics import as_vector, fd_hessian, map_row_chunks, require_finite, solve_linear
 from .potentials import ConstraintPotential, locate_stationary_points
@@ -344,8 +344,10 @@ def trajectory_comparison(
         raise ConfigError("the refine method needs a trained model and a config")
     anchors = stationary_anchors()
 
+    if "refine" in methods:
+        refined, trajectories = refine_batch(starts, [pot] * len(starts), model, refine_cfg)
     table = ComparisonTable()
-    for start in starts:
+    for j, start in enumerate(starts):
         for method in methods:
             saddle = False
             if method == "gd":
@@ -355,9 +357,8 @@ def trajectory_comparison(
                 run = newton_raphson_scalar(pot, start, tol=COMPARISON_TOL)
                 x_final, steps, saddle = run.x, run.iterations, run.saddle
             else:
-                out = refine(start, pot, model, refine_cfg)
-                run = out.trajectory
-                x_final, steps = out.x, len(run.steps)
+                run = trajectories[j]
+                x_final, steps = refined[j], len(run.steps)
             phi_final = float(pot.value(x_final)) if np.all(np.isfinite(x_final)) else float("inf")
             table.rows.append(
                 ComparisonRow(
@@ -484,14 +485,16 @@ def train_power_prior(
     )
 
 
-def _refine_power_chunk(case, ybus, prior, cfg, predictions, features) -> np.ndarray:
+def kirchhoff_potentials(case, ybus, features) -> list:
+    """One KirchhoffPotential per feature row, for ``refine_batch``."""
     from .powerflow import KirchhoffPotential, injections_from_features
 
-    out = np.empty_like(predictions)
-    for i in range(predictions.shape[0]):
-        pot = KirchhoffPotential(case, ybus, injections_from_features(case, features[i]))
-        out[i] = refine(predictions[i], pot, prior, cfg, condition=features[i]).x
-    return out
+    return [KirchhoffPotential(case, ybus, injections_from_features(case, f)) for f in features]
+
+
+def _refine_power_chunk(case, ybus, prior, cfg, predictions, features) -> np.ndarray:
+    pots = kirchhoff_potentials(case, ybus, features)
+    return refine_batch(predictions, pots, prior, cfg, condition=features)[0]
 
 
 def refine_power_batch(

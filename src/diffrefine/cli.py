@@ -455,16 +455,9 @@ def cmd_train(args) -> int:
 def cmd_refine(args) -> int:
     if args.print_config:
         return _print_config(refine_defaults())
-    from .baselines import refine_power_batch
-    from .guidance import RefineConfig, refine
-    from .powerflow import (
-        KirchhoffPotential,
-        build_ybus,
-        evaluate,
-        injections_from_features,
-        load_case,
-        load_dataset,
-    )
+    from .baselines import kirchhoff_potentials, refine_power_batch
+    from .guidance import RefineConfig, refine_batch
+    from .powerflow import build_ybus, evaluate, load_case, load_dataset
 
     ds = load_dataset(args.data)
     case = load_case(args.case if args.case else ds.case_name)
@@ -507,12 +500,11 @@ def cmd_refine(args) -> int:
     if args.dump > 0 and cfg.steps > 0:
         traj_dir = out / "trajectories"
         traj_dir.mkdir(exist_ok=True)
-        for i in range(min(args.dump, pred.shape[0])):
-            pot = KirchhoffPotential(case, ybus, injections_from_features(case, split.features[i]))
-            res = refine(pred[i], pot, prior, cfg, condition=split.features[i])
-            (traj_dir / f"sample_{i:03d}.tsv").write_text(
-                "\n".join(res.trajectory.to_lines()) + "\n"
-            )
+        first = slice(0, min(args.dump, pred.shape[0]))
+        pots = kirchhoff_potentials(case, ybus, split.features[first])
+        _, trajectories = refine_batch(pred[first], pots, prior, cfg, condition=split.features[first])
+        for i, trajectory in enumerate(trajectories):
+            (traj_dir / f"sample_{i:03d}.tsv").write_text("\n".join(trajectory.to_lines()) + "\n")
 
     _write_run_manifest(
         out, "refine", cfg.to_config() | {"split": args.split, "dump": args.dump},

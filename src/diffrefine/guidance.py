@@ -17,6 +17,13 @@ The refinement loop runs the corrected deterministic transitions over
 a decreasing subsequence of schedule steps, starting from the injected
 prediction itself, and operates in normalized sample coordinates; the
 potential is evaluated in physical coordinates through the chain rule.
+
+There is one loop, ``refine_batch``, which refines a block of rows in
+lockstep: one noise-model forward and one DDIM transition per level for
+the whole block, and the potential, gamma, clip and step record per
+row.  Each row keeps the bytes of its own refinement (the row-bit rule,
+see ``refine_batch``).  ``refine`` is the loop on a block of one, and
+``guided_step`` its step on one row.
 """
 
 from __future__ import annotations
@@ -28,9 +35,14 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from .diffusion import NoiseSchedule, ddim_transition, model_schedule
-from .errors import ConfigError, NonFiniteGradientError, dataclass_from_config
+from .errors import (
+    ConfigError,
+    DimensionMismatchError,
+    NonFiniteGradientError,
+    dataclass_from_config,
+)
 from .model_store import TrainedModel
-from .numerics import as_vector, require_finite
+from .numerics import as_matrix, as_vector, require_finite
 from .potentials import ConstraintPotential, NormalizedPotential
 
 # Gradient norms at or below this skip the correction (flat or critical
@@ -157,29 +169,46 @@ def guided_step(
     The plain transition runs first; the correction then moves the
     result along the descent direction of the potential evaluated at
     the transition output.  Below the gradient floor (flat or critical
-    regions) the correction is skipped entirely.
+    regions) the correction is skipped entirely.  This is the block
+    step of ``refine_batch`` on a block of one row.
     """
     if t_prev is None:
         t_prev = t - 1
-    x0_hat, x_prev = ddim_transition(as_vector(x_t, "x_t"), t, eps_hat, schedule, t_prev)
-    r = x0_hat - x_prev
-    dist = math.sqrt(r.dot(r))
-    delta, grad_norm, phi = descent_direction(pot, x_prev)
-    if delta is None:
-        rec = StepRecord(
-            t=t, t_prev=t_prev, gamma=0.0, cos_angle=0.0, dist=dist, phi=phi,
-            grad_norm=grad_norm, clipped=False, x_prev=x_prev, x0_hat=x0_hat, delta=None,
-        )
-        return x_prev, rec
-    gamma, clipped, r_delta = _gamma_and_dot(r, delta, phi, grad_norm, cfg.lam, clip)
-    cos_angle = r_delta / dist if dist > 0.0 else 0.0
-    x_next = x_prev + gamma * delta
-    require_finite(x_next, "guided step")
-    rec = StepRecord(
-        t=t, t_prev=t_prev, gamma=gamma, cos_angle=cos_angle, dist=dist, phi=phi,
-        grad_norm=grad_norm, clipped=clipped, x_prev=x_prev, x0_hat=x0_hat, delta=delta,
+    x_t = as_vector(x_t, "x_t")
+    x_next, (rec,) = _guided_rows(
+        x_t[None, :], t, np.asarray(eps_hat, dtype=float)[None, :], [pot], schedule, cfg.lam,
+        t_prev, [clip],
     )
-    return x_next, rec
+    return x_next[0], rec
+
+
+def _guided_rows(z, t, eps_hat, pots, schedule, lam, t_prev, clips):
+    """The guided transition of every row of z (n, d); returns (x_next
+    (n, d), one StepRecord per row).  One DDIM transition for the block,
+    then, row by row, the one-row step against ``pots[k]`` with cap
+    ``clips[k]``."""
+    x0_hat, x_prev = ddim_transition(z, t, eps_hat, schedule, t_prev)
+    r = x0_hat - x_prev
+    x_next = x_prev.copy()  # a floor-skipped row keeps its transition output
+    records = []
+    for pot, r_k, xp_k, x0_k, row, clip in zip(pots, r, x_prev, x0_hat, x_next, clips):
+        dist = math.sqrt(r_k.dot(r_k))
+        delta, grad_norm, phi = descent_direction(pot, xp_k)
+        if delta is None:
+            records.append(StepRecord(
+                t=t, t_prev=t_prev, gamma=0.0, cos_angle=0.0, dist=dist, phi=phi,
+                grad_norm=grad_norm, clipped=False, x_prev=xp_k, x0_hat=x0_k, delta=None,
+            ))
+            continue
+        gamma, clipped, r_delta = _gamma_and_dot(r_k, delta, phi, grad_norm, lam, clip)
+        cos_angle = r_delta / dist if dist > 0.0 else 0.0
+        row += gamma * delta
+        require_finite(row, "guided step")
+        records.append(StepRecord(
+            t=t, t_prev=t_prev, gamma=gamma, cos_angle=cos_angle, dist=dist, phi=phi,
+            grad_norm=grad_norm, clipped=clipped, x_prev=xp_k, x0_hat=x0_k, delta=delta,
+        ))
+    return x_next, records
 
 
 def step_subsequence(start_step: int, steps: int) -> list:
@@ -212,7 +241,8 @@ def refine(
     cfg: RefineConfig,
     condition=None,
 ) -> RefineResult:
-    """Pull a prediction toward the constraint manifold.
+    """Pull one prediction toward the constraint manifold: ``refine_batch``
+    on a block of one row.
 
     x_init and the potential live in physical coordinates; the loop
     operates in the model's normalized sample space and the potential
@@ -222,10 +252,41 @@ def refine(
     of the earlier steps' distances to the clean estimate.
     """
     x_init = as_vector(x_init, "x_init")
+    if condition is not None:
+        condition = np.asarray(condition, dtype=float)[None, :]
+    x, (trajectory,) = refine_batch(x_init[None, :], [pot], model, cfg, condition)
+    return RefineResult(x=x[0], trajectory=trajectory)
+
+
+def refine_batch(x_init, pots, model: TrainedModel, cfg: RefineConfig, condition=None):
+    """Refine a block of predictions x_init (n, d) in lockstep; returns
+    (x (n, d), one Trajectory per row).
+
+    Row k is refined against ``pots[k]`` (pass ``[pot] * n`` for a
+    shared potential) under ``condition[k]`` when the model is
+    conditional, and gets the bytes of ``refine`` on that row alone,
+    whatever n is and however a caller splits its rows.  At each level
+    the block makes one forward of the noise model, whose layer products
+    are ``numerics.row_products`` (a stack of one-row products; a
+    many-row GEMM would round a row by its batch), and one DDIM
+    transition on the (n, d) block, which is elementwise.  Everything
+    that reads one row's state stays per row, in row order, with the
+    one-row arithmetic: the potential through ``descent_direction``,
+    gamma, the adaptive clip (a running median of that row's
+    distances), the floor skip and the StepRecord.  A potential stays
+    per row because the one-row Kirchhoff kernel is the one whose bytes
+    the power-flow outputs keep; its many-row kernel sums in another
+    order.  A row whose gradient turns non-finite raises
+    NonFiniteGradientError for the block, as a loop over rows would.
+    """
+    x_init = as_matrix(x_init, "x_init")
     require_finite(x_init, "x_init")
-    trajectory = Trajectory()
+    n = x_init.shape[0]
+    if len(pots) != n:
+        raise DimensionMismatchError(f"{len(pots)} potentials for {n} rows")
+    trajectories = [Trajectory() for _ in range(n)]
     if cfg.steps == 0:
-        return RefineResult(x=x_init.copy(), trajectory=trajectory)
+        return x_init.copy(), trajectories
 
     schedule = model_schedule(model)
     start = cfg.start_step if cfg.start_step is not None else schedule.T
@@ -239,17 +300,22 @@ def refine(
         if condition is None:
             raise ConfigError("model is conditional but no condition was given")
         cond_norm = np.asarray(model.x_norm.encode(condition), dtype=float)
-    pot_norm = NormalizedPotential(pot, model.y_norm.mean, model.y_norm.std)
+    views = {}  # one normalized view per distinct potential
+    for pot in pots:
+        if id(pot) not in views:
+            views[id(pot)] = NormalizedPotential(pot, model.y_norm.mean, model.y_norm.std)
+    pots_norm = [views[id(pot)] for pot in pots]
 
-    dists: list = []
+    dists = [[] for _ in range(n)]
     for i, t in enumerate(levels):
         t_prev = levels[i + 1] if i + 1 < len(levels) else 0
-        eps_hat = model.net.forward(z, t=t, cond=cond_norm)
+        eps_hat = model.net.forward_batch(z, t=t, cond=cond_norm, rowbit=True)[0]
         # statistics.median takes the same (a + b) / 2 as np.median, at a
         # fraction of its per-call cost on a dozen floats.
-        clip = 10.0 * statistics.median(dists) if len(dists) >= 3 else None
-        z, rec = guided_step(z, t, eps_hat, pot_norm, schedule, cfg, t_prev=t_prev, clip=clip)
-        dists.append(rec.dist)
-        trajectory.steps.append(rec)
+        clips = [10.0 * statistics.median(d) for d in dists] if i >= 3 else [None] * n
+        z, records = _guided_rows(z, t, eps_hat, pots_norm, schedule, cfg.lam, t_prev, clips)
+        for d, trajectory, rec in zip(dists, trajectories, records):
+            d.append(rec.dist)
+            trajectory.steps.append(rec)
 
-    return RefineResult(x=np.asarray(model.y_norm.decode(z), dtype=float), trajectory=trajectory)
+    return np.asarray(model.y_norm.decode(z), dtype=float), trajectories

@@ -18,7 +18,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from .errors import ConfigError, DimensionMismatchError
-from .numerics import Rng
+from .numerics import Rng, row_products
 
 
 def _sigmoid(z):
@@ -252,16 +252,25 @@ class FeedForwardNet:
         y, _ = self.forward_batch(x, t, cond)
         return y[0] if np.ndim(x) == 1 else y
 
-    def forward_batch(self, x, t=None, cond=None, want_cache: bool = False):
-        """Batched forward pass; returns (outputs, cache or None)."""
+    def forward_batch(self, x, t=None, cond=None, want_cache: bool = False, rowbit: bool = False):
+        """Batched forward pass; returns (outputs, cache or None).
+
+        With ``rowbit`` every layer product of a many-row input is
+        ``numerics.row_products``, so each output row has the bytes of a
+        one-row call (what a block of refinement rows needs); otherwise
+        one GEMM per layer, as training and batch prediction use.  One
+        row's GEMM is already its own one-row product.
+        """
         inp = self._assemble_input(x, t, cond, keep=want_cache)
         m = len(self.spec.hidden)
         cache = ForwardCache(inputs=inp) if want_cache else None
+        rowbit = rowbit and inp.shape[0] > 1
         a = inp
         acts = [inp]
         # ndarray.dot makes the BLAS call that @ makes, at less cost per call
         for j in range(1, m + 1):
-            z = a.dot(self.weights[j - 1].T)
+            w = self.weights[j - 1].T
+            z = row_products(a, w) if rowbit else a.dot(w)
             z += self.biases[j - 1]
             src = self._skip_into.get(j)
             if src is not None:
@@ -272,7 +281,8 @@ class FeedForwardNet:
             if want_cache:
                 cache.pre_activations.append(z)
                 cache.sigmoids.append(s)
-        out = a.dot(self.weights[m].T)
+        w = self.weights[m].T
+        out = row_products(a, w) if rowbit else a.dot(w)
         out += self.biases[m]
         if want_cache:
             cache.activations = acts

@@ -50,6 +50,18 @@ def require_finite(arr, name: str = "value") -> np.ndarray:
     return arr
 
 
+def row_products(a, b) -> np.ndarray:
+    """``a @ b`` for a of shape (n, k), each row computed as its own
+    one-row product.
+
+    A many-row GEMM may round a row differently from a one-row GEMM,
+    since BLAS blocks its sums by the shape of the call; a stack of
+    (1, k) @ (k, m) products does not, so row i of the result has the
+    bytes of ``a[i:i+1].dot(b)`` whatever n is.
+    """
+    return np.matmul(a[:, None, :], b)[:, 0, :]
+
+
 def solve_linear(a, b) -> np.ndarray:
     """Solve ``a @ x = b`` by LU factorization with partial pivoting.
 

@@ -755,6 +755,47 @@ class TestRefine:
         header = files[0].read_text().split("\n")[0]
         assert header == "t\tphi\tgamma\tcos_angle\tdist"
 
+    def test_trajectory_dumps_equal_one_row_refines(self, refined, workdir, pf_data, pf_models):
+        from diffrefine.guidance import RefineConfig, refine
+        from diffrefine.powerflow import (
+            KirchhoffPotential,
+            build_ybus,
+            injections_from_features,
+            load_case,
+            load_dataset,
+        )
+
+        ds = load_dataset(pf_data)
+        case = load_case(ds.case_name)
+        ybus = build_ybus(case)
+        base, prior = load_model(pf_models[0]), load_model(pf_models[1])
+        cfg = RefineConfig.from_config(json.loads((workdir / "refine.json").read_text()))
+        feats = ds.test.features
+        pred = base.predict(feats)
+        for i in range(2):
+            pot = KirchhoffPotential(case, ybus, injections_from_features(case, feats[i]))
+            lines = refine(pred[i], pot, prior, cfg, condition=feats[i]).trajectory.to_lines()
+            got = (refined / "trajectories" / f"sample_{i:03d}.tsv").read_text()
+            assert got == "\n".join(lines) + "\n"
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+    def test_non_finite_gradient_in_one_row_exits_4(self, pf_data, pf_models, tmp_path):
+        # A load 250 orders of magnitude too large in test row 3 carries
+        # that row's prediction to where the calculated power overflows;
+        # the scaled row also overflows numpy arithmetic on the way.
+        data = tmp_path / "data"
+        shutil.copytree(pf_data, data)
+        lines = (data / "test.tsv").read_text().split("\n")
+        cells = lines[4].split("\t")
+        cells[0] = "1e250"
+        lines[4] = "\t".join(cells)
+        (data / "test.tsv").write_text("\n".join(lines))
+        base, eps = pf_models
+        got = _quiet_cli("refine", "--model", base, "--eps", eps, "--data", data,
+                         "--out", tmp_path / "out", "--dump", 0)
+        _assert_one_error(*got, 4, "NonFiniteGradientError")
+
     def test_zero_steps_equals_base(self, pf_data, pf_models, tmp_path):
         base, eps = pf_models
         cfg = write_json(tmp_path / "cfg.json", {"steps": 0})
@@ -776,7 +817,8 @@ class TestRefine:
             "--workers", 2,
         )
         assert code == 0
-        for name in ("report.tsv", "per_sample.tsv", "refined.tsv"):
+        for name in ("report.tsv", "per_sample.tsv", "refined.tsv",
+                     "trajectories/sample_000.tsv", "trajectories/sample_001.tsv"):
             assert (out / name).read_bytes() == (refined / name).read_bytes()
 
     def test_unknown_split_rejected(self, pf_data, pf_models, tmp_path):

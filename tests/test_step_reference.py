@@ -20,15 +20,27 @@ import pytest
 
 from diffrefine import adversarial, network
 from diffrefine.adversarial import AttackConfig, cyclic_attack, pgd_attack
-from diffrefine.baselines import POWER_REFINE, refine_power_batch
+from diffrefine.baselines import (
+    POWER_REFINE,
+    kirchhoff_potentials,
+    refine_power_batch,
+    train_power_prior,
+)
 from diffrefine.diffusion import NoiseSchedule, forward_noise, make_schedule, model_schedule
-from diffrefine.guidance import GRAD_FLOOR, RefineConfig, refine, step_subsequence
+from diffrefine.guidance import GRAD_FLOOR, RefineConfig, refine, refine_batch, step_subsequence
 from diffrefine.model_store import save_model
 from diffrefine.network import FeedForwardNet
-from diffrefine.errors import ConfigError, DimensionMismatchError
+from diffrefine.errors import ConfigError, DimensionMismatchError, NonFiniteGradientError
 from diffrefine.numerics import Rng, as_vector, require_finite
 from diffrefine.potentials import RelationalConstraintSet, muller_brown_potential
-from diffrefine.powerflow import KirchhoffPotential, build_ybus, injections_from_features
+from diffrefine.powerflow import (
+    KirchhoffPotential,
+    build_ybus,
+    generate_dataset,
+    injections_from_features,
+    load_case,
+)
+from diffrefine.training import TrainConfig
 
 
 def _where_sigmoid(z):
@@ -163,6 +175,145 @@ class TestRefineMatchesReference:
             assert_refine_matches_reference(
                 pred, pot, prior, POWER_REFINE, reference_patch, condition=feat
             )
+
+
+def assert_block_matches_reference(xs, pots, model, cfg, reference_patch, conditions=None):
+    """refine_batch on the rows of xs against the reference, one row at a
+    time, byte for byte; returns the block's trajectories."""
+    got_x, trajectories = refine_batch(xs, pots, model, cfg, condition=conditions)
+    assert got_x.shape == np.shape(xs) and len(trajectories) == len(xs)
+    with pytest.MonkeyPatch.context() as mp:
+        reference_patch(mp)
+        want = [
+            _ref_refine(x, pot, model, cfg, None if conditions is None else conditions[k])
+            for k, (x, pot) in enumerate(zip(xs, pots))
+        ]
+    for k, (want_x, want_steps) in enumerate(want):
+        assert got_x[k].tobytes() == want_x.tobytes(), k
+        assert len(trajectories[k].steps) == len(want_steps)
+        for got, step in zip(trajectories[k].steps, want_steps):
+            for name, value in step.items():
+                assert _bits(getattr(got, name)) == _bits(value), (k, name)
+    return trajectories
+
+
+def _steps(trajectories, flag):
+    return sum(flag(s) for trajectory in trajectories for s in trajectory.steps)
+
+
+def _record_bytes(trajectories):
+    fields = ("t", "t_prev", "gamma", "cos_angle", "dist", "phi", "grad_norm", "clipped",
+              "x_prev", "x0_hat", "delta")
+    return [[tuple(_bits(getattr(s, f)) for f in fields) for s in tr.steps] for tr in trajectories]
+
+
+@pytest.fixture(scope="module")
+def ieee30_task():
+    """A small IEEE 30 scenario set, its conditional prior, and starts a
+    few hundredths off the solved states."""
+    case = load_case("ieee30")
+    ds = generate_dataset(case, 150, 0, 20, seed=4)
+    prior = train_power_prior(
+        case, ds, cfg=TrainConfig(epochs=20, batch_size=64, lr=1e-3, seed=77, loss="eps")
+    )
+    starts = ds.test.targets + 0.01 * Rng(9).normal(ds.test.targets.shape)
+    return case, ds, prior, starts
+
+
+class TestRefineBatchMatchesReference:
+    """A block refined in lockstep gives every row the bytes of the
+    per-row reference, whatever the block size and split."""
+
+    def test_ieee14_rows(self, acpf_task, reference_patch):
+        case, ds, base, _, prior = acpf_task
+        feats = ds.test.features[:6]
+        pots = kirchhoff_potentials(case, build_ybus(case), feats)
+        assert_block_matches_reference(
+            base.predict(feats), pots, prior, POWER_REFINE, reference_patch, conditions=feats
+        )
+
+    def test_ieee30_rows_with_binding_clip(self, ieee30_task, reference_patch):
+        # The short-trained prior overshoots, so the adaptive clip binds
+        # in some rows and not in others.
+        case, ds, prior, starts = ieee30_task
+        feats = ds.test.features[:5]
+        pots = kirchhoff_potentials(case, build_ybus(case), feats)
+        trajectories = assert_block_matches_reference(
+            starts[:5], pots, prior, POWER_REFINE, reference_patch, conditions=feats
+        )
+        clipped = [_steps([tr], lambda s: s.clipped) for tr in trajectories]
+        assert max(clipped) > 0 and min(clipped) < max(clipped)
+
+    @pytest.mark.parametrize("lam", [1.0, 0.0])
+    def test_tabular_rows(self, tabular_task, reference_patch, lam):
+        pot, ds, _, prior = tabular_task
+        cfg = RefineConfig(steps=20, start_step=20, lam=lam)
+        xs = ds.test.features[:5]
+        assert_block_matches_reference(xs, [pot] * len(xs), prior, cfg, reference_patch)
+
+    def test_toy_starts_and_flat_pocket(self, toy_noise_model, pocket_model, reference_patch):
+        starts = np.array([[0.3, 0.25], [-0.8, 0.6], [0.55, 0.05]])
+        pot = muller_brown_potential()
+        cfg = RefineConfig(steps=12, start_step=30, lam=0.1)
+        assert_block_matches_reference(starts, [pot] * 3, toy_noise_model, cfg, reference_patch)
+        # Rows inside the flat pocket skip their steps below the floor,
+        # next to rows that do not.
+        pot, data, model = pocket_model
+        cfg = RefineConfig(steps=10, start_step=10, lam=1.0)
+        block = np.vstack([data[:3], [[0.3, 0.25]]])
+        trajectories = assert_block_matches_reference(
+            block, [pot] * 4, model, cfg, reference_patch
+        )
+        assert _steps(trajectories[:3], lambda s: s.delta is None) > 0
+        assert _steps(trajectories[3:], lambda s: s.delta is not None) > 0
+
+    @pytest.mark.parametrize("split", [(7,), (1, 6), (3, 4), (1,) * 7])
+    def test_any_split_of_seven_rows(self, acpf_task, split):
+        case, ds, base, _, prior = acpf_task
+        feats = ds.test.features[10:17]
+        preds = base.predict(feats)
+        pots = kirchhoff_potentials(case, build_ybus(case), feats)
+        whole_x, whole = refine_batch(preds, pots, prior, POWER_REFINE, condition=feats)
+        parts_x, parts = [], []
+        edges = np.cumsum((0,) + split)
+        for lo, hi in zip(edges, edges[1:]):
+            x, trajectories = refine_batch(
+                preds[lo:hi], pots[lo:hi], prior, POWER_REFINE, condition=feats[lo:hi]
+            )
+            parts_x.append(x)
+            parts += trajectories
+        assert np.vstack(parts_x).tobytes() == whole_x.tobytes()
+        assert _record_bytes(parts) == _record_bytes(whole)
+        for k in range(7):
+            one = refine(preds[k], pots[k], prior, POWER_REFINE, condition=feats[k])
+            assert one.x.tobytes() == whole_x[k].tobytes()
+            assert one.trajectory.to_lines() == whole[k].to_lines()
+
+
+class TestRefineBatchErrors:
+    def test_one_non_finite_gradient_raises_for_the_block(self, acpf_task):
+        # A load some 250 orders of magnitude too large in row 3 carries
+        # its prediction to where the calculated power overflows.
+        case, ds, base, _, prior = acpf_task
+        feats = ds.test.features[:6].copy()
+        feats[3, 0] = 1e250
+        preds = base.predict(feats)
+        pots = kirchhoff_potentials(case, build_ybus(case), feats)
+        with np.errstate(all="ignore"):
+            with pytest.raises(NonFiniteGradientError):
+                refine(preds[3], pots[3], prior, POWER_REFINE, condition=feats[3])
+            with pytest.raises(NonFiniteGradientError):
+                refine_batch(preds, pots, prior, POWER_REFINE, condition=feats)
+            out, _ = refine_batch(
+                np.delete(preds, 3, axis=0), pots[:3] + pots[4:], prior, POWER_REFINE,
+                condition=np.delete(feats, 3, axis=0),
+            )
+        assert np.isfinite(out).all()
+
+    def test_rejects_a_potential_count_that_is_not_the_row_count(self, tabular_task):
+        pot, ds, _, prior = tabular_task
+        with pytest.raises(DimensionMismatchError):
+            refine_batch(ds.test.features[:3], [pot] * 2, prior, RefineConfig(steps=2))
 
 
 def _ref_project(z, z0, eps, lo, hi):
