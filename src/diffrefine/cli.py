@@ -470,12 +470,15 @@ def cmd_refine(args) -> int:
     out = _prepare_out(args)
 
     ybus = build_ybus(case)
-    pred = base.predict(split.features)
-    rep_base = evaluate(case, pred, split.targets, split.features, ybus=ybus, norm=base.y_norm)
-    refined = refine_power_batch(
-        case, prior, pred, split.features, cfg=cfg, ybus=ybus, workers=args.workers
-    )
-    rep_ref = evaluate(case, refined, split.targets, split.features, ybus=ybus, norm=base.y_norm)
+    # A row whose load overflows ends in one NonFiniteGradientError line,
+    # not in numpy warnings from its predictions and residuals first.
+    with np.errstate(over="ignore", invalid="ignore"):
+        pred = base.predict(split.features)
+        rep_base = evaluate(case, pred, split.targets, split.features, ybus=ybus, norm=base.y_norm)
+        refined = refine_power_batch(
+            case, prior, pred, split.features, cfg=cfg, ybus=ybus, workers=args.workers
+        )
+        rep_ref = evaluate(case, refined, split.targets, split.features, ybus=ybus, norm=base.y_norm)
 
     lines = ["method\tmse\tmapm_mw\tmrpm_mvar"]
     lines.append("base\t" + _float_row([rep_base.mean_mse, rep_base.mean_mapm, rep_base.mean_mrpm]))

@@ -114,20 +114,15 @@ class Trajectory:
 def descent_direction(pot: ConstraintPotential, x):
     """Unit steepest-descent direction, or None at or below GRAD_FLOOR.
 
-    Returns (delta, grad_norm, phi) from one evaluation of the
-    potential's value and gradient at x: through its point protocol
-    ``value_and_grad`` when it has one, else as a one-row batch.
-    Raises NonFiniteGradientError when the gradient has non-finite
-    entries.
+    Returns (delta, grad_norm, phi) from one call of the potential's
+    ``value_and_grad_batch`` on x as a one-row batch, which runs on
+    Python floats inside the kernel where the potential's formula
+    allows.  Raises NonFiniteGradientError when the gradient has
+    non-finite entries.
     """
     x = np.asarray(x, dtype=float)
-    point = getattr(pot, "value_and_grad", None)
-    if point is not None:
-        phi, g = point(x.tolist())
-        g = np.array(g, dtype=float)
-    else:
-        phi, g = pot.value_and_grad_batch(x[None, :])
-        phi, g = phi[0], g[0]
+    phi, g = pot.value_and_grad_batch(x[None, :])
+    phi, g = phi[0], g[0]
     if np.count_nonzero(np.isfinite(g)) != g.size:
         raise NonFiniteGradientError(f"potential gradient non-finite at {x}")
     norm = math.sqrt(g.dot(g))  # the bits of np.linalg.norm on a real vector

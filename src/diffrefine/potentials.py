@@ -5,7 +5,9 @@ is the feasible manifold.  Each implementation supplies two batch
 kernels, ``value_batch`` and the fused ``value_and_grad_batch``; the
 base class derives ``value``, ``grad`` and ``grad_batch`` from them,
 and every potential's gradient is held to a finite-difference
-conformance check in the test suite.
+conformance check in the test suite.  The guided step reads only
+``value_and_grad_batch``, on a one-row batch; where the formula allows,
+that one row runs on Python floats inside the kernel.
 """
 
 from __future__ import annotations
@@ -47,16 +49,11 @@ class ConstraintPotential:
       since numpy's per-call overhead dominates at one row.  It returns
       a non-finite gradient rather than raising; the caller decides.
 
-    ``value``, ``grad`` and ``grad_batch`` derive from these two.  A
-    subclass that gets both from one evaluation on a single point may
-    also add the point protocol ``value_and_grad(x) -> (value, gradient
-    as a list of floats)``: Python floats in and out, the bits of its
-    one-row ``value_and_grad_batch``, and no raise on a non-finite
-    gradient.  ``MullerBrownPotential`` and ``RelationalConstraintSet``
-    implement it; ``NormalizedPotential`` has it exactly when its base
-    does, and forwards each point to the base's on Python floats.
-    ``gradient_descent`` calls it at every trial point, and the guided
-    step's ``descent_direction`` once per step.
+    ``value``, ``grad`` and ``grad_batch`` derive from these two.
+    ``MullerBrownPotential`` alone adds ``value_and_grad(x) -> (value,
+    gradient as a list of floats)`` on Python floats: the kernel of its
+    one-row ``value_and_grad_batch``, and the one that
+    ``gradient_descent`` calls at every trial point.
     """
 
     dim: int = 0
@@ -82,10 +79,9 @@ class NormalizedPotential(ConstraintPotential):
 
     The wrapped potential lives in physical coordinates y; this view
     evaluates at z with y = mean + scale * z, so gradients pick up a
-    factor of ``scale`` by the chain rule.  The view of a base with the
-    point protocol ``value_and_grad`` has it too: it forwards a point to
-    the base's on Python floats, with the elementwise products and sums
-    of the array path.
+    factor of ``scale`` by the chain rule.  A one-row batch reaches the
+    base's one-row kernel, which runs on Python floats where the base's
+    does.
     """
 
     def __init__(self, base: ConstraintPotential, mean, scale):
@@ -93,22 +89,6 @@ class NormalizedPotential(ConstraintPotential):
         self.mean = np.asarray(mean, dtype=float)
         self.scale = np.asarray(scale, dtype=float)
         self.dim = base.dim
-        self._pairs = None  # (mean, scale) per coordinate, for the point protocol
-        if hasattr(base, "value_and_grad"):
-            self._pairs = tuple(zip(self.mean.tolist(), self.scale.tolist()))
-
-    @property
-    def value_and_grad(self):
-        """The base's ``value_and_grad`` at y = mean + scale * z; absent
-        (AttributeError) when the base has none."""
-        if self._pairs is None:
-            raise AttributeError("the base potential has no value_and_grad")
-        return self._scaled_point
-
-    def _scaled_point(self, z):
-        pairs = self._pairs
-        phi, g = self.base.value_and_grad([m + s * v for (m, s), v in zip(pairs, z)])
-        return phi, [s * gi for (_, s), gi in zip(pairs, g)]
 
     def value_batch(self, zs) -> np.ndarray:
         zs = np.asarray(zs, dtype=float)
@@ -271,9 +251,6 @@ class MullerBrownPotential(ConstraintPotential):
 
     def value_batch(self, xs) -> np.ndarray:
         return np.maximum(self.surface.surface_value_batch(xs) - self.zero_level, 0.0)
-
-    def grad_batch(self, xs) -> np.ndarray:
-        return self._evaluate_batch(xs)[1]
 
     def value_and_grad_batch(self, xs):
         """One surface evaluation; a single row takes ``value_and_grad``."""
@@ -463,13 +440,6 @@ class RelationalConstraintSet(ConstraintPotential):
         for i, gi in enumerate(g):
             out[:, i] = gi
         return r, out
-
-    def value_and_grad(self, x):
-        """(value, gradient as a list of floats) at one point, on Python
-        floats; the value is summed by the reduction the batch path uses."""
-        res, g = self._terms_at([float(v) for v in x], _relu_float, float, True)
-        r = np.array(res)
-        return float(np.add.reduce(r * r)), g
 
     def residuals_batch(self, xs) -> np.ndarray:
         """Per-term residuals c_r for a batch, shape (n, n_terms)."""

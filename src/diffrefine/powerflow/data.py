@@ -100,8 +100,9 @@ def _draw_split(case, ybus, n: int, spread: float, rng: Rng, tol: float) -> Spli
     Each block draws the uniforms of up to n - got scenarios at once
     (the stream of drawing them one by one), solves them with one
     newton_block call, and scans the outcomes in draw order, so the
-    accepted rows and the draw at which the cap or the failure-share
-    check fires are those of drawing and solving one scenario at a time.
+    accepted rows and the draw at which the failure-share check fires
+    are those of drawing and solving one scenario at a time.  That check
+    also bounds the loop: from the 20th draw on, at most half may fail.
     A NonFiniteError from a block aborts the split, as it did from its
     draw, even where an earlier failure in the block would have ended
     the split first.
@@ -112,13 +113,8 @@ def _draw_split(case, ybus, n: int, spread: float, rng: Rng, tol: float) -> Spli
     got = 0
     failures = 0
     draws = 0
-    cap = max(4 * n, 50)
     while got < n:
-        b = min(n - got, cap - draws, BLOCK_DRAWS)
-        if b == 0:
-            raise DatasetInfeasibleError(
-                f"{failures} of {draws} scenario draws failed to converge"
-            )
+        b = min(n - got, BLOCK_DRAWS)
         u = rng.uniform(-1.0, 1.0, size=(b, 2, case.n))
         pd = case.pd * (1.0 + spread * u[:, 0])
         qd = case.qd * (1.0 + spread * u[:, 1])

@@ -796,6 +796,24 @@ class TestRefine:
                          "--out", tmp_path / "out", "--dump", 0)
         _assert_one_error(*got, 4, "NonFiniteGradientError")
 
+    def test_non_finite_gradient_row_raises_no_numpy_warning(self, pf_data, pf_models, tmp_path):
+        # The row of test_non_finite_gradient_in_one_row_exits_4: its
+        # overflow shows as the one error line and nothing else.
+        data = tmp_path / "data"
+        shutil.copytree(pf_data, data)
+        lines = (data / "test.tsv").read_text().split("\n")
+        cells = lines[4].split("\t")
+        cells[0] = "1e250"
+        lines[4] = "\t".join(cells)
+        (data / "test.tsv").write_text("\n".join(lines))
+        base, eps = pf_models
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            got = _quiet_cli("refine", "--model", base, "--eps", eps, "--data", data,
+                             "--out", tmp_path / "out", "--dump", 0)
+        _assert_one_error(*got, 4, "NonFiniteGradientError")
+        assert [str(w.message) for w in caught if w.category is RuntimeWarning] == []
+
     def test_zero_steps_equals_base(self, pf_data, pf_models, tmp_path):
         base, eps = pf_models
         cfg = write_json(tmp_path / "cfg.json", {"steps": 0})

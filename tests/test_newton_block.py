@@ -67,7 +67,7 @@ def reference_newton_raphson(case, ybus, injections, tol=1e-8) -> NewtonResult:
     )
 
 
-def reference_draw_split(case, ybus, n, spread, rng, tol, cap=None):
+def reference_draw_split(case, ybus, n, spread, rng, tol):
     """The per-scenario draw loop that the block draws replaced."""
     feats = np.empty((n, case.n_unknowns))
     targs = np.empty((n, case.n_unknowns))
@@ -75,7 +75,7 @@ def reference_draw_split(case, ybus, n, spread, rng, tol, cap=None):
     got = 0
     failures = 0
     draws = 0
-    cap = max(4 * n, 50) if cap is None else cap
+    cap = max(4 * n, 50)
     while got < n:
         if draws >= cap:
             raise DatasetInfeasibleError(
@@ -391,21 +391,3 @@ class TestDraws:
                 data._draw_split(case, ybus, n, 0.1, Rng(seed), 1e-8)
         assert str(got.value) == str(want.value)
         assert str(want.value).endswith("scenario draws failed to converge")
-
-    @pytest.mark.parametrize("cap", [3, 7, 64, 65, 100])
-    def test_cap_fires_at_the_same_draw(self, monkeypatch, cap):
-        """The draw cap max(4n, 50) cannot fire by itself: reaching it
-        with fewer than n rows takes over three quarters failures, which
-        the failure-share check stops first.  Patching the module's
-        ``max`` lowers it, on a case where a fifth of the draws fail."""
-        case = two_bus_case(480.0)
-        ybus = build_ybus(case)
-        monkeypatch.setattr(data, "max", lambda *args: cap, raising=False)
-        with np.errstate(all="ignore"):
-            with pytest.raises(DatasetInfeasibleError) as want:
-                reference_draw_split(case, ybus, cap + 1, 0.1, Rng(7), 1e-8, cap=cap)
-            with pytest.raises(DatasetInfeasibleError) as got:
-                data._draw_split(case, ybus, cap + 1, 0.1, Rng(7), 1e-8)
-        assert str(got.value) == str(want.value)
-        assert str(want.value).endswith(f" of {cap} scenario draws failed to converge")
-

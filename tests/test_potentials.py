@@ -443,10 +443,6 @@ def assert_relational_matches_reference(pot, xs):
         _same_bytes(g, g_ref[i : i + 1])
         _same_bytes(pot.grad(xs[i]), g_ref[i])
         _same_bytes([pot.value(xs[i])], phi_ref[i : i + 1])
-        # The point protocol, on Python floats.
-        phi, g = pot.value_and_grad(xs[i])
-        _same_bytes([phi], phi_ref[i : i + 1])
-        _same_bytes(g, g_ref[i])
 
 
 SPECIAL_ENTRIES = np.array([0.0, -0.0, np.inf, -np.inf, np.nan])
@@ -528,8 +524,6 @@ def test_linear_sum_adds_left_to_right_on_every_path():
     assert reference_residuals(pot, x).tobytes() == zero
     assert pot.residuals_batch(x).tobytes() == zero  # one row: Python floats
     assert pot.residuals_batch(np.vstack([x, x]))[1:].tobytes() == zero  # arrays
-    value, grad = pot.value_and_grad(x[0])
-    assert np.array([value]).tobytes() == np.zeros(1).tobytes() and grad == [0.0, 0.0, 0.0]
 
 
 class TestRelationalKernel:
@@ -669,18 +663,6 @@ class TestTwoKernels:
                     # float kernel, +0.0 where the array path may give -0.0.
                     assert np.array_equal(got, want) and not np.signbit(got).any()
 
-    def test_normalized_point_protocol_follows_its_base(self):
-        for base, mean, scale, zs in _normalized_cases():
-            view = NormalizedPotential(base, mean, scale)
-            assert hasattr(view, "value_and_grad") == hasattr(base, "value_and_grad")
-            if not hasattr(base, "value_and_grad"):
-                continue
-            for z in zs:
-                phi, g = view.value_and_grad(z.tolist())
-                want_phi, want_g = view.value_and_grad_batch(z[None, :])
-                _same_bytes(np.array([phi]), want_phi)
-                _same_bytes(g, want_g[0])
-
     def test_relational_value_matches_the_removed_formula(self):
         schema = load_schema()
         for x in Rng(34).uniform(schema.bounds[:, 0], schema.bounds[:, 1], (20, schema.dim)):
@@ -726,7 +708,8 @@ class TestTwoKernels:
             sub.__name__ for sub in own
         }
         # MullerBrownPotential's point methods run on Python floats.
-        assert [sub.__name__ for sub in own if {"value", "grad"} & vars(sub).keys()] == [
+        point = {"value", "grad", "value_and_grad"}
+        assert [sub.__name__ for sub in own if point & vars(sub).keys()] == [
             "MullerBrownPotential"
         ]
 

@@ -316,6 +316,26 @@ class TestRefineBatchErrors:
             refine_batch(ds.test.features[:3], [pot] * 2, prior, RefineConfig(steps=2))
 
 
+class _SchemaWithoutPoints(RelationalConstraintSet):
+    def value_and_grad(self, x):
+        raise AssertionError("the guided step read a point kernel")
+
+
+def test_guided_step_reads_only_the_batch_kernel(tabular_task):
+    # A one-row batch runs the schema's float path inside
+    # value_and_grad_batch; no point entry point stands beside it.
+    pot, ds, _, prior = tabular_task
+    pointless = _SchemaWithoutPoints.from_config(pot.to_config())
+    cfg = RefineConfig(steps=20, start_step=20, lam=1.0)
+    xs = ds.test.features[:4]
+    want_x, want = refine_batch(xs, [pot] * 4, prior, cfg)
+    got_x, got = refine_batch(xs, [pointless] * 4, prior, cfg)
+    assert got_x.tobytes() == want_x.tobytes()
+    assert _record_bytes(got) == _record_bytes(want)
+    one = refine(xs[0], pointless, prior, cfg)
+    assert one.x.tobytes() == want_x[0].tobytes()
+    assert _record_bytes([one.trajectory]) == _record_bytes(want[:1])
+
 def _ref_project(z, z0, eps, lo, hi):
     z = np.clip(z, z0 - eps, z0 + eps)
     return np.clip(z, lo[None, :], hi[None, :])
